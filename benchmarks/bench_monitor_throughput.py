@@ -192,15 +192,16 @@ def test_throughput_full_catalog_batch(benchmark):
 # ---------------------------------------------------------------------------
 def test_throughput_full_catalog_codegen(benchmark):
     """Full catalog under ``match_strategy="codegen"``, event at a time:
-    one exec'd straight-line function per event class, field reads
-    hoisted to locals, constants folded into compares."""
+    each ``observe`` is a one-event chunk through the exec'd
+    straight-line evaluator for its class, field reads hoisted to
+    locals, constants folded into compares."""
     monitor = benchmark(lambda: run_catalog(match_strategy="codegen"))
     assert monitor.stats.events == len(EVENTS)
 
 
 def test_throughput_full_catalog_codegen_batch(benchmark):
     """The headline codegen pair: observe_batch transposes each chunk
-    into ColumnarBatch columns, prefilters stage-0 creates vectorially,
+    into per-field columns, prefilters stage-0 creates vectorially,
     then drives the generated per-event evaluators off the columns.
     Compare to ``test_throughput_full_catalog_batch``."""
     monitor = benchmark(lambda: run_catalog_batch(match_strategy="codegen"))

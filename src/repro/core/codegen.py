@@ -8,21 +8,24 @@ field reads hoisted into locals, constants folded into the compare
 expressions, instance-store probes inlined against the store's own
 dictionaries — and ``exec``'s the whole program once at build time.
 
-Two generated entry points exist per concrete event class:
+Every matcher is emitted exactly once, in columnar form.  Per concrete
+event class the program holds:
 
-* ``_eval__<Cls>(event, fields)`` — the single-event evaluator bound as
-  ``Monitor._evaluate``.  One function call per event, zero per guard.
+* an *extractor* ``_extract__<Cls>`` that transposes a chunk of
+  same-class events into per-field columns (one Python list per field,
+  packet field maps cached per packet object);
+* a *create prefilter* ``_createb__<Cls>`` that matches stage-0 patterns
+  against whole columns at once and returns per-event hit slots.  It is
+  restricted to predicate-free stage-0 patterns, which are provably
+  state-independent (spec validation forbids ``Var`` references at
+  stage 0), so hoisting them before any timer fires cannot change
+  results;
+* ``_evalb__<Cls>``, which evaluates one event against its column row
+  and current state and returns its ops.
 
-* a columnar batch triple used by ``Monitor.observe_batch``: an
-  *extractor* builds a :class:`ColumnarBatch` (one Python list per field
-  for a chunk of same-class events, with packet field maps cached per
-  packet object), a *create prefilter* matches stage-0 patterns against
-  whole columns at once and returns per-event hit slots, and
-  ``_evalb__<Cls>`` evaluates one event against its column row.  The
-  prefilter is restricted to predicate-free stage-0 patterns, which are
-  provably state-independent (spec validation forbids ``Var`` references
-  at stage 0), so hoisting them before any timer fires cannot change
-  results.
+:meth:`CodegenProgram.evaluator` wires the three together for one chunk;
+``Monitor``'s single intake loop calls the result once per event, in
+stream order, so ``observe(e)`` is simply a one-event chunk.
 
 Equivalence is the design invariant, not an aspiration: the generated
 code mirrors ``Monitor._evaluate_compiled`` branch for branch — the same
@@ -35,7 +38,7 @@ three strategies to identical violations, counters, and ledgers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..switch.events import (
     DataplaneEvent,
@@ -54,11 +57,12 @@ from .compile import (
 from .instances import (
     IndexedInstanceStore,
     InstanceStore,
+    make_store,
     stage_index_plan,
     uid_var,
 )
 from .refs import EventPattern, MismatchAny, Predicate
-from .spec import PropertySpec
+from .spec import PropertySpec, refresh_applies
 
 #: event classes whose field map always carries a packet ``uid``.
 _UID_CLASSES = (PacketArrival, PacketEgress, PacketDrop)
@@ -105,34 +109,17 @@ def _ge(a, b):
 class PropEmission:
     """What the emitter actually generated for one property.
 
-    The calibration cost model (:mod:`repro.lint.calibration`) carries an
-    *estimated* twin of the first two numbers derived analytically from
-    the dispatch plan; a test holds estimate and measurement equal.
-    ``matcher_lines`` is measured-only — it counts emitted source lines
-    attributable to the property across all generated functions.
+    The single source of the codegen cost block ``repro lint`` reports:
+    ``event_classes`` counts the concrete classes the property is emitted
+    for, ``inline_terms`` the boolean terms across every emitted matcher
+    (see :func:`pattern_terms`), and ``matcher_lines`` the generated
+    source lines attributable to the property.
     """
 
     name: str
     event_classes: int = 0
     inline_terms: int = 0
     matcher_lines: int = 0
-
-
-@dataclass
-class ColumnarBatch:
-    """One chunk of same-class events, transposed into per-field columns.
-
-    ``columns[i][j]`` is field ``i`` of event ``j`` (``_MISSING`` when the
-    event lacks the field).  ``creates`` — present when the class carries
-    prefiltered stage-0 watchers — holds one slot list per property:
-    ``creates[p][j]`` is ``(env0, key)`` when event ``j`` matched property
-    ``p``'s stage-0 pattern (and passed the key filter), else ``None``.
-    """
-
-    event_class: type
-    events: List[DataplaneEvent]
-    columns: Tuple[list, ...]
-    creates: Optional[list]
 
 
 @dataclass
@@ -147,33 +134,66 @@ class CodegenProgram:
     """The exec'd program: generated functions plus their source."""
 
     source: str
-    eval_fns: Dict[type, Callable]
     batch_fns: Dict[type, _BatchFns]
     emissions: Dict[str, PropEmission]
     exec_globals: Dict[str, object] = field(repr=False, default_factory=dict)
 
-    def columnar(
-        self,
-        cls: type,
-        events: List[DataplaneEvent],
-        pf_cache: Dict[int, Dict[str, object]],
-    ) -> Optional[ColumnarBatch]:
-        """Build the columnar representation for one same-class chunk."""
-        fns = self.batch_fns.get(cls)
-        if fns is None:
-            return None
-        columns = fns.extract(events, pf_cache)
-        creates = (
-            fns.create_batch(events, columns)
-            if fns.create_batch is not None else None
-        )
-        return ColumnarBatch(cls, events, columns, creates)
+    def evaluator(
+        self, chunk: Sequence[DataplaneEvent]
+    ) -> Callable[[DataplaneEvent], list]:
+        """Per-event op supplier for one chunk, called in chunk order.
+
+        Partitions the chunk by concrete class and transposes each
+        class's events into columns ONCE — the stream interleaves
+        classes, so transposing per consecutive run would rebuild columns
+        every couple of events.  Column and prefilter contents are
+        state-independent (stage 0 cannot reference bound variables), so
+        building them ahead of evaluation cannot change results; the
+        returned function then evaluates each event against current state
+        through a per-class row cursor.  The packet-fields cache lives
+        for one chunk only, so a long trace never pins every packet's
+        field map at once.
+
+        Per class, ``columns[i][j]`` is field ``i`` of event ``j``
+        (``_MISSING`` when absent) and ``creates[p][j]`` is ``(env0,
+        key)`` when event ``j`` matched prefiltered property ``p``'s
+        stage-0 pattern and passed the key filter, else ``None``.
+        """
+        pf_cache: Dict[int, Dict[str, object]] = {}
+        by_cls: Dict[type, List[DataplaneEvent]] = {}
+        for event in chunk:
+            cls = type(event)
+            run = by_cls.get(cls)
+            if run is None:
+                by_cls[cls] = [event]
+            else:
+                run.append(event)
+        rows: Dict[type, Tuple] = {}
+        for cls, run in by_cls.items():
+            fns = self.batch_fns.get(cls)
+            if fns is None:
+                continue  # no plans watch this class (e.g. TimerFired)
+            columns = fns.extract(run, pf_cache)
+            creates = (fns.create_batch(run, columns)
+                       if fns.create_batch is not None else None)
+            rows[cls] = (fns.eval_batch, columns, creates)
+        cursor = dict.fromkeys(by_cls, 0)
+
+        def ops_of(event: DataplaneEvent) -> list:
+            cls = type(event)
+            i = cursor[cls]
+            cursor[cls] = i + 1
+            row = rows.get(cls)
+            if row is None:
+                return []
+            eval_batch, columns, creates = row
+            return eval_batch(event, columns, i, creates)
+
+        return ops_of
 
 
 def pattern_terms(pattern: EventPattern) -> int:
-    """Inline boolean terms one emitted matcher contributes.
-
-    The measured side of the calibration model's ``inline_terms``:
+    """Inline boolean terms one emitted matcher contributes:
     refinements and ``same_packet_as`` count one each, ``MismatchAny``
     counts one per pair, every other guard counts one.
     """
@@ -343,7 +363,7 @@ class _Entry:
 # The per-class emitter
 # ---------------------------------------------------------------------------
 class _ClassEmitter:
-    """Emits all four functions for one concrete event class."""
+    """Emits the three functions for one concrete event class."""
 
     def __init__(
         self,
@@ -395,9 +415,9 @@ class _ClassEmitter:
             yield sec.create
 
     # -- shared expression builders -------------------------------------
-    def _matcher(self, pattern: EventPattern, env_expr: str,
-                 fields_expr: str) -> str:
-        """``match_instance`` (or ``guards_match``) as one expression."""
+    def _matcher(self, pattern: EventPattern, env_expr: str) -> str:
+        """``match_instance`` (or ``guards_match``) as one expression,
+        its terms tallied into the current property's emission."""
         terms: List[str] = []
         if pattern.same_packet_as is not None:
             uid_key = uid_var(pattern.same_packet_as)
@@ -407,11 +427,10 @@ class _ClassEmitter:
             terms.append(f"{got} is not _M and {got} == _xp")
         terms.extend(refinement_sources(pattern, self.fmap, self.pool))
         terms.extend(
-            guard_source(g, self.fmap, self.pool, env_expr, fields_expr)
+            guard_source(g, self.fmap, self.pool, env_expr, "_fields")
             for g in pattern.guards
         )
-        if self._term_sink is not None:
-            self._term_sink.inline_terms += pattern_terms(pattern)
+        self._term_sink.inline_terms += pattern_terms(pattern)
         return " and ".join(terms) if terms else "True"
 
     @staticmethod
@@ -524,8 +543,7 @@ class _ClassEmitter:
 
     # -- section emitters -------------------------------------------------
     def _emit_unless(self, w: _Writer, entry: _Entry, stage_idx: int,
-                     patterns: Tuple[EventPattern, ...],
-                     fields_expr: str) -> None:
+                     patterns: Tuple[EventPattern, ...]) -> None:
         p = entry.pidx
         # at_stage scan: every waiting instance, no candidate counting
         # (Feature 4 cancels the whole matching population).
@@ -541,7 +559,7 @@ class _ClassEmitter:
         if self._needs_env(patterns):
             w.w("_env = _inst.env")
         cond = " or ".join(
-            f"({self._matcher(pat, '_env', fields_expr)})"
+            f"({self._matcher(pat, '_env')})"
             for pat in patterns
         )
         w.w(f"if {cond}:")
@@ -558,9 +576,9 @@ class _ClassEmitter:
         w.ded()
 
     def _emit_discharge(self, w: _Writer, entry: _Entry, stage_idx: int,
-                        pattern: EventPattern, fields_expr: str) -> None:
+                        pattern: EventPattern) -> None:
         p = entry.pidx
-        matcher = self._matcher(pattern, "_env", fields_expr)
+        matcher = self._matcher(pattern, "_env")
         needs_env = self._needs_env((pattern,))
 
         def body() -> None:
@@ -586,10 +604,10 @@ class _ClassEmitter:
         self._emit_candidates(w, entry, stage_idx, body)
 
     def _emit_advance(self, w: _Writer, entry: _Entry, stage_idx: int,
-                      pattern: EventPattern, fields_expr: str) -> None:
+                      pattern: EventPattern) -> None:
         p = entry.pidx
         stage = entry.prop.stages[stage_idx]
-        matcher = self._matcher(pattern, "_env", fields_expr)
+        matcher = self._matcher(pattern, "_env")
         bindable = bindable_source(pattern, self.fmap)
         binds = self._binds_dict(pattern, uid_var(stage.name))
         needs_env = self._needs_env((pattern,))
@@ -652,11 +670,11 @@ class _ClassEmitter:
                 'event=_ev, time=_t))')
             w.ded()
 
-    def _create_cond(self, entry: _Entry, fields_expr: str) -> str:
+    def _create_cond(self, entry: _Entry) -> str:
         pattern = entry.sections.create
         assert pattern is not None
         terms = []
-        matcher = self._matcher(pattern, "_E", fields_expr)
+        matcher = self._matcher(pattern, "_E")
         if matcher != "True":
             terms.append(matcher)
         bindable = bindable_source(pattern, self.fmap)
@@ -670,9 +688,8 @@ class _ClassEmitter:
         return self._binds_dict(
             pattern, uid_var(entry.prop.stages[0].name))
 
-    def _emit_create_inline(self, w: _Writer, entry: _Entry,
-                            fields_expr: str) -> None:
-        cond = self._create_cond(entry, fields_expr)
+    def _emit_create_inline(self, w: _Writer, entry: _Entry) -> None:
+        cond = self._create_cond(entry)
         guarded = cond != "True"
         if guarded:
             w.w(f"if {cond}:")
@@ -686,24 +703,21 @@ class _ClassEmitter:
         if guarded:
             w.ded()
 
-    def _emit_prop_sections(self, w: _Writer, entry: _Entry,
-                            fields_expr: str, batch_mode: bool) -> None:
+    def _emit_prop_sections(self, w: _Writer, entry: _Entry) -> None:
         emission = self.emissions[entry.prop.name]
         start = len(w.lines)
-        if not batch_mode:
-            self._term_sink = emission
+        self._term_sink = emission
         w.w(f"# --- property {entry.prop.name!r} ---")
         w.w("_d = None")
         for is_unless, stage_idx, patterns in entry.sections.cancels:
             if is_unless:
-                self._emit_unless(w, entry, stage_idx, patterns, fields_expr)
+                self._emit_unless(w, entry, stage_idx, patterns)
             else:
-                self._emit_discharge(
-                    w, entry, stage_idx, patterns[0], fields_expr)
+                self._emit_discharge(w, entry, stage_idx, patterns[0])
         for stage_idx, pattern in entry.sections.advances:
-            self._emit_advance(w, entry, stage_idx, pattern, fields_expr)
+            self._emit_advance(w, entry, stage_idx, pattern)
         if entry.sections.create is not None:
-            if batch_mode and id(entry) in self._slots:
+            if id(entry) in self._slots:
                 j = self._slots[id(entry)]
                 w.w(f"_cr = _creates[{j}][_i]")
                 w.w("if _cr is not None:")
@@ -712,40 +726,23 @@ class _ClassEmitter:
                 self._emit_refresh_or_create(w, entry)
                 w.ded()
             else:
-                self._emit_create_inline(w, entry, fields_expr)
-        self._term_sink = None
+                self._emit_create_inline(w, entry)
         emission.matcher_lines += len(w.lines) - start
 
-    # -- the four functions -----------------------------------------------
-    def emit_eval(self) -> Tuple[str, str]:
-        """The single-event evaluator (returns (name, source))."""
-        name = f"_eval__{self.cls.__name__}"
-        body = _Writer()
-        body.ind()
-        for entry in self.entries:
-            self._emit_prop_sections(body, entry, "_fields",
-                                     batch_mode=False)
-        head = _Writer()
-        head.w(f"def {name}(_ev, _fields):")
-        head.ind()
-        head.w("_fg = _fields.get")
-        for fieldname in self.fmap.order:
-            head.w(f"{self.fmap(fieldname)} = _fg({fieldname!r}, _M)")
-        head.w("_t = _ev.time")
-        if self.has_create:
-            head.w("_kf = _mon.key_filter")
-        head.w("_ops = []")
-        if self.counts:
-            head.w("_nc = 0")
-        tail = _Writer()
-        tail.ind()
-        if self.counts:
-            tail.w("if _nc:")
-            tail.ind()
-            tail.w("_inc_cand(_nc)")
-            tail.ded()
-        tail.w("return _ops")
-        return name, "\n".join(head.lines + body.lines + tail.lines)
+    # -- the three functions ----------------------------------------------
+    def emit(self) -> Tuple[Tuple[str, str], Optional[Tuple[str, str]],
+                            Tuple[str, str]]:
+        """``(name, source)`` for extract, the prefilter (None when no
+        stage-0 pattern is prefiltered) and eval.
+
+        The evaluator body and the prefilter are emitted first: they
+        register every field they read, and only then are the column
+        indices final for the evaluator's head and the extractor.
+        """
+        body = self._eval_body()
+        create = self.emit_create_batch()
+        ev = self.emit_eval_batch(body)
+        return self.emit_extract(), create, ev
 
     def emit_extract(self) -> Tuple[str, str]:
         """The column extractor — the only place event fields are read."""
@@ -849,6 +846,7 @@ class _ClassEmitter:
         def colfx(fieldname: str) -> str:
             local = hoisted.get(fieldname)
             if local is None:
+                real_fmap(fieldname)  # registers the column
                 idx = real_fmap.index(fieldname)
                 local = f"_col{idx}"
                 hoisted[fieldname] = local
@@ -857,12 +855,13 @@ class _ClassEmitter:
 
         for entry in self.prefiltered:
             emission = self.emissions[entry.prop.name]
+            self._term_sink = emission
             start = len(w.lines)
             w.w(f"# --- property {entry.prop.name!r} (stage-0 prefilter) ---")
             # Reroute field access through column reads for this block.
             self.fmap = colfx  # type: ignore[assignment]
             try:
-                cond = self._create_cond(entry, "_E")
+                cond = self._create_cond(entry)
                 env0 = self._env0_dict(entry)
                 key = self._key_tuple(entry.prop)
             finally:
@@ -886,16 +885,22 @@ class _ClassEmitter:
         w.w("return _out")
         return name, "\n".join(w.lines)
 
-    def emit_eval_batch(self) -> Tuple[str, str]:
-        """Per-event evaluation against the columns (state-dependent)."""
-        name = f"_evalb__{self.cls.__name__}"
+    def _eval_body(self) -> Tuple[_Writer, set]:
+        """Every property's sections for ``_evalb`` (prefiltered creates
+        only consume their slot), plus the fields the body reads."""
         body = _Writer()
         body.ind()
         touched: set = set()
         self.fmap.record = touched
         for entry in self.entries:
-            self._emit_prop_sections(body, entry, "_fields", batch_mode=True)
+            self._emit_prop_sections(body, entry)
         self.fmap.record = None
+        return body, touched
+
+    def emit_eval_batch(self, emitted: Tuple[_Writer, set]) -> Tuple[str, str]:
+        """Per-event evaluation against the columns (state-dependent)."""
+        body, touched = emitted
+        name = f"_evalb__{self.cls.__name__}"
         head = _Writer()
         head.w(f"def {name}(_ev, _cols, _i, _creates):")
         head.ind()
@@ -903,12 +908,7 @@ class _ClassEmitter:
             if fieldname in touched:
                 idx = self.fmap.index(fieldname)
                 head.w(f"{self.fmap(fieldname)} = _cols[{idx}][_i]")
-        needs_fields_here = any(
-            _has_predicate(p)
-            for e in self.entries
-            for p in self._batch_patterns(e)
-        )
-        if needs_fields_here:
+        if self.needs_fields:
             head.w(f"_fields = _cols[{len(self.fmap.order)}][_i]")
         head.w("_t = _ev.time")
         if self.has_create:
@@ -926,21 +926,56 @@ class _ClassEmitter:
         tail.w("return _ops")
         return name, "\n".join(head.lines + body.lines + tail.lines)
 
-    def _batch_patterns(self, entry: _Entry):
-        """Patterns evaluated inside ``_evalb`` (prefiltered creates are
-        matched in ``_createb``, not here)."""
-        sec = entry.sections
-        for _, _, patterns in sec.cancels:
-            yield from patterns
-        for _, pattern in sec.advances:
-            yield pattern
-        if sec.create is not None and id(entry) not in self._slots:
-            yield sec.create
-
 
 # ---------------------------------------------------------------------------
 # Program assembly
 # ---------------------------------------------------------------------------
+def _emit(
+    entries: Sequence[Tuple[PropertySpec, InstanceStore, bool]],
+    exec_globals: Dict[str, object],
+    max_layer: int,
+) -> Tuple[str, Dict[type, Tuple[str, Optional[str], str]],
+           Dict[str, PropEmission]]:
+    """Emit the program source; returns it with the generated function
+    names per class (extract, prefilter, eval) and per-property emission
+    counts.  Binds the globals the source references into
+    ``exec_globals``."""
+    pool = _ConstPool()
+    emissions: Dict[str, PropEmission] = {}
+    by_class: Dict[type, List[_Entry]] = {}
+    for pidx, (prop, store, refresh_ok) in enumerate(entries):
+        exec_globals[f"_prop{pidx}"] = prop
+        exec_globals[f"_byk{pidx}"] = store.by_key
+        sections = _sections_by_class(prop)
+        emissions[prop.name] = PropEmission(
+            name=prop.name, event_classes=len(sections))
+        for cls, sec in sections.items():
+            by_class.setdefault(cls, []).append(
+                _Entry(pidx, prop, store, refresh_ok, sec))
+
+    parts: List[str] = [
+        "# repro codegen program (match_strategy=\"codegen\")",
+        "# properties: " + ", ".join(
+            prop.name for prop, _, _ in entries),
+    ]
+    names: Dict[type, Tuple[str, Optional[str], str]] = {}
+    for cls in sorted(by_class, key=lambda c: c.__name__):
+        emitter = _ClassEmitter(
+            cls, by_class[cls], pool, exec_globals, emissions, max_layer)
+        extract, create, evaluate = emitter.emit()
+        parts.append("")
+        parts.append(f"# ===== {cls.__name__} =====")
+        for fn in (extract, create, evaluate):
+            if fn is not None:
+                parts.append(fn[1])
+                parts.append("")
+        parts.pop()
+        names[cls] = (extract[0], create[0] if create else None,
+                      evaluate[0])
+    exec_globals.update(pool.globals)
+    return "\n".join(parts) + "\n", names, emissions
+
+
 def build_program(
     entries: Sequence[Tuple[PropertySpec, InstanceStore, bool]],
     host,
@@ -955,7 +990,6 @@ def build_program(
     evaluator's ``_dispatch`` lists do, keeping op order (and therefore
     same-timestamp violation order) identical across strategies.
     """
-    pool = _ConstPool()
     exec_globals: Dict[str, object] = {
         "_M": _MISSING,
         "_Op": op_cls,
@@ -967,63 +1001,28 @@ def build_program(
         "_gt": _gt,
         "_ge": _ge,
     }
-    emissions: Dict[str, PropEmission] = {}
-    by_class: Dict[type, List[_Entry]] = {}
-    for pidx, (prop, store, refresh_ok) in enumerate(entries):
-        exec_globals[f"_prop{pidx}"] = prop
-        exec_globals[f"_byk{pidx}"] = store.by_key
-        emissions[prop.name] = PropEmission(name=prop.name)
-        sections = _sections_by_class(prop)
-        emissions[prop.name].event_classes = len(sections)
-        for cls, sec in sections.items():
-            by_class.setdefault(cls, []).append(
-                _Entry(pidx, prop, store, refresh_ok, sec))
-
-    parts: List[str] = [
-        "# repro codegen program (match_strategy=\"codegen\")",
-        "# properties: " + ", ".join(
-            prop.name for prop, _, _ in entries),
-    ]
-    eval_names: Dict[type, str] = {}
-    batch_names: Dict[type, Tuple[str, Optional[str], str]] = {}
-    for cls in sorted(by_class, key=lambda c: c.__name__):
-        emitter = _ClassEmitter(
-            cls, by_class[cls], pool, exec_globals, emissions, max_layer)
-        ev_name, ev_src = emitter.emit_eval()
-        ex_name, ex_src = emitter.emit_extract()
-        cb = emitter.emit_create_batch()
-        eb_name, eb_src = emitter.emit_eval_batch()
-        parts.append("")
-        parts.append(f"# ===== {cls.__name__} =====")
-        parts.append(ev_src)
-        parts.append("")
-        parts.append(ex_src)
-        if cb is not None:
-            parts.append("")
-            parts.append(cb[1])
-        parts.append("")
-        parts.append(eb_src)
-        eval_names[cls] = ev_name
-        batch_names[cls] = (ex_name, cb[0] if cb is not None else None,
-                            eb_name)
-
-    exec_globals.update(pool.globals)
-    source = "\n".join(parts) + "\n"
+    source, names, emissions = _emit(entries, exec_globals, max_layer)
     code = compile(source, "<repro-codegen>", "exec")
     exec(code, exec_globals)  # noqa: S102 - the whole point of this module
-    eval_fns = {cls: exec_globals[name] for cls, name in eval_names.items()}
     batch_fns = {
         cls: _BatchFns(
             extract=exec_globals[ex],
             create_batch=exec_globals[cb] if cb is not None else None,
             eval_batch=exec_globals[eb],
         )
-        for cls, (ex, cb, eb) in batch_names.items()
+        for cls, (ex, cb, eb) in names.items()
     }
     return CodegenProgram(
         source=source,
-        eval_fns=eval_fns,
         batch_fns=batch_fns,
         emissions=emissions,
         exec_globals=exec_globals,
     )
+
+
+def property_emission(prop: PropertySpec) -> PropEmission:
+    """What the emitter generates for ``prop`` on its own — the codegen
+    cost block ``repro lint`` reports.  Emits against a fresh store and
+    stops before ``compile``/``exec``, which dominate a program build."""
+    entry = (prop, make_store(prop, "indexed"), refresh_applies(prop))
+    return _emit([entry], {}, max_layer=7)[2][prop.name]

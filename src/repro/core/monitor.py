@@ -102,10 +102,11 @@ _EMPTY_ENV: Dict[str, object] = {}
 
 MATCH_STRATEGIES = ("compiled", "interpreted", "codegen")
 
-#: events per columnar chunk in the codegen batch path.  Bounds the
-#: per-chunk packet-fields cache (keyed by ``id(packet)``) so replaying a
-#: long trace never pins every packet's field map at once.
-CODEGEN_CHUNK = 1024
+#: events per intake chunk.  Codegen transposes each chunk into columns
+#: and bounds its packet-fields cache (keyed by ``id(packet)``) to one
+#: chunk, so replaying a long trace never pins every packet's field map
+#: at once.
+INTAKE_CHUNK = 1024
 
 
 class MonitorStats:
@@ -335,12 +336,16 @@ class Monitor:
         #: live instances across all stores, maintained incrementally so
         #: the telemetry-disabled path never iterates stores per event.
         self._live_total = 0
-        if match_strategy == "compiled":
-            self._evaluate = self._evaluate_compiled
-        elif match_strategy == "codegen":
-            self._evaluate = self._evaluate_codegen
+        #: the match strategy's op supplier: chunk -> (event -> ops), see
+        #: _intake.  Compiled and interpreted evaluate each event alone;
+        #: codegen transposes the chunk into columns first.
+        if match_strategy == "codegen":
+            self._evaluator = self._codegen_evaluator
         else:
-            self._evaluate = self._evaluate_interpreted
+            self._evaluate = (self._evaluate_compiled
+                              if match_strategy == "compiled"
+                              else self._evaluate_interpreted)
+            self._evaluator = self._per_event_evaluator
         #: the exec'd codegen program; built lazily on first evaluation
         #: and invalidated whenever a property is added.
         self._codegen_program = None
@@ -495,72 +500,79 @@ class Monitor:
     # -- event intake ----------------------------------------------------------
     def observe(self, event: DataplaneEvent) -> None:
         """Process one dataplane event (the tap entry point)."""
-        self.advance_to(event.time)
-        self._c_events.inc()
-        telemetry = self.registry.enabled
-        candidates_before = self._c_candidates.value if telemetry else 0.0
-        fields = event_fields(event, max_layer=self.max_layer)
-        ops = self._evaluate(event, fields)
-        if self.mode is ProcessingMode.INLINE:
-            for op in ops:
-                self._apply(op)
-        elif self.op_faults is None and self.degradation is None:
-            apply_at = event.time + self.split_lag
-            for op in ops:
-                heapq.heappush(
-                    self._pending, (apply_at, next(self._pending_seq), op)
-                )
-            self._g_pending.set(len(self._pending))
-            if telemetry and ops:
-                self._h_pending_depth.observe(len(self._pending))
-            if self.scheduler is not None:
-                self.scheduler.call_at(
-                    apply_at, lambda t=apply_at: self.advance_to(t),
-                    label="monitor-split-apply",
-                )
-        else:
-            # Degraded split path: each op individually traverses the
-            # (possibly faulty) control channel and the bounded queue.
-            apply_at = event.time + self.split_lag
-            for op in ops:
-                self._enqueue_split(op, apply_at, attempt=0)
-            self._g_pending.set(len(self._pending))
-            if telemetry and ops:
-                self._h_pending_depth.observe(len(self._pending))
-        if telemetry:
-            self._h_candidates.observe(
-                self._c_candidates.value - candidates_before
-            )
-        self._track_peak()
+        self._intake((event,))
 
     def observe_batch(self, events: Sequence[DataplaneEvent]) -> None:
         """Process a sequence of events (the replay entry point).
 
-        Semantically ``for e in events: self.observe(e)``; when the
-        monitor runs inline with telemetry disabled — the configuration
-        replay throughput is measured in — the per-event loop runs with
-        hot-path attribute lookups hoisted to locals.
+        Exactly ``for e in events: self.observe(e)`` — both run the one
+        intake loop, whatever the strategy, mode, or telemetry setting.
         """
-        if self.mode is not ProcessingMode.INLINE or self.registry.enabled:
-            for event in events:
-                self.observe(event)
-            return
-        if self.match_strategy == "codegen":
-            self._run_codegen_batch(events)
-            return
+        self._intake(events)
+
+    def _intake(self, events: Sequence[DataplaneEvent]) -> None:
+        """The monitor's one per-event loop.
+
+        Owns the clock, the event counter, op routing (inline apply,
+        split enqueue, degraded split through the control channel) and
+        the telemetry-on extras (candidates-per-event and pending-depth
+        histograms, per-property live gauges).  The match strategy only
+        supplies each event's ops.  ``observe`` and ``observe_batch``
+        each call this directly, never one another: callers may wrap
+        either public method (a tap, a tracer) without seeing events
+        twice.
+        """
+        telemetry = self.registry.enabled
+        inline = self.mode is ProcessingMode.INLINE
+        degraded = self.op_faults is not None or self.degradation is not None
         advance_to = self.advance_to
         inc_event = self._c_events.inc
-        evaluate = self._evaluate
         apply_op = self._apply
         set_live = self._g_live.set
-        max_layer = self.max_layer
-        for event in events:
-            advance_to(event.time)
-            inc_event()
-            ops = evaluate(event, event_fields(event, max_layer=max_layer))
-            for op in ops:
-                apply_op(op)
-            set_live(float(self._live_total))
+        # One event (the tap) or an empty call is a single chunk; an
+        # empty chunk still forces codegen's lazy program build.
+        if len(events) <= INTAKE_CHUNK:
+            chunks = (events,)
+        else:
+            chunks = (events[start:start + INTAKE_CHUNK]
+                      for start in range(0, len(events), INTAKE_CHUNK))
+        for chunk in chunks:
+            ops_of = self._evaluator(chunk)
+            for event in chunk:
+                advance_to(event.time)
+                inc_event()
+                if telemetry:
+                    candidates_before = self._c_candidates.value
+                ops = ops_of(event)
+                if inline:
+                    for op in ops:
+                        apply_op(op)
+                else:
+                    apply_at = event.time + self.split_lag
+                    if degraded:
+                        # Each op individually traverses the (possibly
+                        # faulty) control channel and the bounded queue.
+                        for op in ops:
+                            self._enqueue_split(op, apply_at, attempt=0)
+                    else:
+                        for op in ops:
+                            heapq.heappush(
+                                self._pending,
+                                (apply_at, next(self._pending_seq), op))
+                        if self.scheduler is not None:
+                            self.scheduler.call_at(
+                                apply_at,
+                                lambda t=apply_at: self.advance_to(t),
+                                label="monitor-split-apply")
+                    self._g_pending.set(len(self._pending))
+                    if telemetry and ops:
+                        self._h_pending_depth.observe(len(self._pending))
+                if telemetry:
+                    self._h_candidates.observe(
+                        self._c_candidates.value - candidates_before)
+                    self._track_peak()
+                else:
+                    set_live(float(self._live_total))
 
     def advance_to(self, when: float) -> None:
         """Move monitor time forward, firing due timers and pending ops.
@@ -675,9 +687,13 @@ class Monitor:
         return len(self._pending) + len(self._retry)
 
     # -- evaluation (read-only against current state) ---------------------------
-    def _evaluate_compiled(
-        self, event: DataplaneEvent, fields: Mapping[str, object]
-    ) -> List[_Op]:
+    def _per_event_evaluator(
+        self, chunk: Sequence[DataplaneEvent]
+    ) -> Callable[[DataplaneEvent], List[_Op]]:
+        """Compiled and interpreted matching need no chunk preparation."""
+        return self._evaluate
+
+    def _evaluate_compiled(self, event: DataplaneEvent) -> List[_Op]:
         """Dispatch-planned evaluation with compiled matchers (default).
 
         Touches only the ``(property, stage, role)`` watchers registered
@@ -690,6 +706,7 @@ class Monitor:
         plans = self._dispatch.get(type(event))
         if not plans:
             return ops
+        fields = event_fields(event, max_layer=self.max_layer)
         t = event.time
         inc_candidate = self._c_candidates.inc
         key_filter = self.key_filter
@@ -813,100 +830,27 @@ class Monitor:
             program = self._build_codegen()
         return program.source
 
-    def codegen_emissions(self):
-        """Per-property emission stats off the generated program — the
-        *measured* side of the lint calibration's codegen cost model
-        (``repro.lint.calibration.CALIBRATION_CODEGEN``)."""
+    def _codegen_evaluator(
+        self, chunk: Sequence[DataplaneEvent]
+    ) -> Callable[[DataplaneEvent], List[_Op]]:
+        """Straight-line generated matchers (``match_strategy="codegen"``)
+        over the chunk's columns: field reads hoisted to locals,
+        constants folded into compares, store probes inlined, stage-0
+        matches prefiltered per column.  Produces exactly the ops
+        ``_evaluate_compiled`` would — the differential property suite
+        holds all three strategies to identical violations, counters,
+        and ledgers."""
         program = self._codegen_program
         if program is None:
             program = self._build_codegen()
-        return dict(program.emissions)
+        return program.evaluator(chunk)
 
-    def _evaluate_codegen(
-        self, event: DataplaneEvent, fields: Mapping[str, object]
-    ) -> List[_Op]:
-        """Straight-line generated matchers (``match_strategy="codegen"``).
-
-        One exec'd function per concrete event class: field reads are
-        hoisted to locals, constants folded into compares, store probes
-        inlined.  Produces exactly the ops ``_evaluate_compiled`` would —
-        the differential property suite holds all three strategies to
-        identical violations, counters, and ledgers.
-        """
-        program = self._codegen_program
-        if program is None:
-            program = self._build_codegen()
-        fn = program.eval_fns.get(type(event))
-        if fn is None:
-            return []
-        return fn(event, fields)
-
-    def _run_codegen_batch(self, events: Sequence[DataplaneEvent]) -> None:
-        """Columnar batch driver behind ``observe_batch`` for codegen.
-
-        Chunks the stream (so the per-chunk packet-fields cache stays
-        bounded), transposes each same-class run into a
-        :class:`~repro.core.codegen.ColumnarBatch` — per-field columns
-        built once, stage-0 prefilters matched against whole columns —
-        then evaluates events in order against their column rows.
-        Semantically ``for e in events: self.observe(e)``.
-        """
-        program = self._codegen_program
-        if program is None:
-            program = self._build_codegen()
-        advance_to = self.advance_to
-        inc_event = self._c_events.inc
-        apply_op = self._apply
-        set_live = self._g_live.set
-        columnar = program.columnar
-        batch_fns = program.batch_fns
-        for start in range(0, len(events), CODEGEN_CHUNK):
-            chunk = events[start:start + CODEGEN_CHUNK]
-            pf_cache: Dict[int, Mapping[str, object]] = {}
-            # Partition the chunk by concrete class and transpose each
-            # class's events into columns ONCE — the stream interleaves
-            # classes, so transposing per consecutive run would rebuild
-            # columns every couple of events.  Column and prefilter
-            # contents are state-independent (stage 0 cannot reference
-            # bound variables), so hoisting them ahead of evaluation
-            # cannot change results; events are then evaluated strictly
-            # in stream order via per-class cursors.
-            by_cls: Dict[type, List[DataplaneEvent]] = {}
-            for event in chunk:
-                cls = type(event)
-                run = by_cls.get(cls)
-                if run is None:
-                    by_cls[cls] = [event]
-                else:
-                    run.append(event)
-            prepped: Dict[type, Optional[Tuple]] = {}
-            for cls, run in by_cls.items():
-                batch = columnar(cls, run, pf_cache)
-                # None: no plans watch this class (e.g. TimerFired) —
-                # such events still advance the clock and count below.
-                prepped[cls] = None if batch is None else (
-                    batch_fns[cls].eval_batch, batch.columns, batch.creates)
-            cursor = dict.fromkeys(by_cls, 0)
-            for event in chunk:
-                cls = type(event)
-                i = cursor[cls]
-                cursor[cls] = i + 1
-                advance_to(event.time)
-                inc_event()
-                prep = prepped[cls]
-                if prep is not None:
-                    eval_batch, columns, creates = prep
-                    for op in eval_batch(event, columns, i, creates):
-                        apply_op(op)
-                set_live(float(self._live_total))
-
-    def _evaluate_interpreted(
-        self, event: DataplaneEvent, fields: Mapping[str, object]
-    ) -> List[_Op]:
+    def _evaluate_interpreted(self, event: DataplaneEvent) -> List[_Op]:
         """The ablation baseline: walk every property and every stage,
         evaluating interpreted guard trees (``EventPattern.matches``).
         Kept verbatim as ``match_strategy="interpreted"`` so the
         dispatch+compiled fast path stays measurable and refutable."""
+        fields = event_fields(event, max_layer=self.max_layer)
         ops: List[_Op] = []
         t = event.time
         for prop in self._props.values():

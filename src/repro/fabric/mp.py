@@ -250,14 +250,23 @@ class MpShard:
         The wait is bounded (the PR-8 version blocked forever on a hung
         worker): after ``timeout`` with no reply the worker is killed
         and ``None`` returned, and the caller ledgers whatever state the
-        final snapshot would have carried.
+        final snapshot would have carried.  A worker that is found dead
+        instead raises :class:`ShardDied` (after reaping), so the caller
+        can recover it rather than ledger it as hung.
         """
         snapshot: Optional[ShardSnapshot] = None
         try:
             self._send(b"Q")
             snapshot = self.recv_snapshot(timeout)
-        except (ShardDied, ShardTimeout):
-            snapshot = None
+        except ShardDied:
+            self.kill()
+            raise
+        except ShardTimeout:
+            if not self.process.is_alive():  # it died rather than hung
+                self.kill()
+                raise ShardDied(
+                    f"shard {self.shard_idx}: exited before its final "
+                    "snapshot") from None
         if snapshot is not None:
             self.process.join(timeout)
         if self.process.is_alive():

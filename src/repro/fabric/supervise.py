@@ -565,38 +565,55 @@ class Supervisor:
 
     # -- teardown ----------------------------------------------------------
     def quiesce(self) -> List[Optional[ShardSnapshot]]:
-        """Final snapshots: force down shards live, then bounded quits."""
+        """Final snapshots: recover dead shards, then bounded quits.
+
+        A worker that died after its last successful send — its crash
+        not yet noticed by any pipe interaction — is recovered here like
+        any other death: restart, checkpoint restore and exact journal
+        replay.  ``shard-quit-timeout`` is reserved for workers that are
+        alive but do not answer the quit.
+        """
         out: List[Optional[ShardSnapshot]] = [None] * self.num_shards
-        horizon = self._now_fn()
         for idx, st in enumerate(self.states):
-            if st.worker is None and not st.failed:
-                # Block through the backoff so end-of-run state is not
-                # lost to unlucky timing; failure is still terminal.
-                if self._maybe_restart(idx, block=True):
-                    try:
-                        st.worker.advance_to(horizon)
-                        st.worker.drain()
-                    except (ShardDied, ShardTimeout) as exc:
-                        self._on_death(idx, str(exc))
-                        continue
-            if st.worker is None:
-                continue
-            snap = st.worker.quit(self.policy.quiesce_timeout)
-            if snap is None:
-                # Hung at quiesce: the worker was killed; whatever it
-                # saw since its last snapshot is unaccounted for.
-                self._ledger_events(
-                    KIND_QUIT_TIMEOUT, max(1, st.since_snapshot_events),
-                    f"shard={idx} no final snapshot within "
-                    f"{self.policy.quiesce_timeout}s")
+            while not st.failed:
+                if st.worker is not None and not st.worker.is_alive():
+                    self._on_death(idx, "process exited")
+                if st.worker is None and not self._live_at_horizon(idx):
+                    continue  # died again during recovery: retry
+                try:
+                    snap = st.worker.quit(self.policy.quiesce_timeout)
+                except ShardDied as exc:  # died while quitting
+                    self._on_death(idx, str(exc))
+                    continue
+                if snap is None:
+                    # Hung at quiesce: the worker was killed; whatever it
+                    # saw since its last snapshot is unaccounted for.
+                    self._ledger_events(
+                        KIND_QUIT_TIMEOUT, max(1, st.since_snapshot_events),
+                        f"shard={idx} no final snapshot within "
+                        f"{self.policy.quiesce_timeout}s")
+                    st.down_reason = "hung at quiesce"
+                else:
+                    out[idx] = self._deliver(idx, snap)
                 st.worker = None
-                st.down_reason = "hung at quiesce"
                 self._g_up[idx].set(0.0)
-                continue
-            out[idx] = self._deliver(idx, snap)
-            st.worker = None
-            self._g_up[idx].set(0.0)
+                break
         return out
+
+    def _live_at_horizon(self, idx: int) -> bool:
+        """Restart a down shard (blocking through the backoff, so
+        end-of-run state is not lost to unlucky timing) and bring it to
+        the fabric's present; False when it died again on the way."""
+        st = self.states[idx]
+        if not self._maybe_restart(idx, block=True):
+            return False
+        try:
+            st.worker.advance_to(self._now_fn())
+            st.worker.drain()
+        except (ShardDied, ShardTimeout) as exc:
+            self._on_death(idx, str(exc))
+            return False
+        return True
 
     def close(self) -> None:
         """Hard teardown of every worker (error paths, ``__del__``)."""

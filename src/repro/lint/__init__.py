@@ -18,10 +18,7 @@ Three pass families over parsed ASTs and compiled
 
 from .calibration import (
     CALIBRATION,
-    CALIBRATION_CODEGEN,
-    MeasuredCodegenCost,
     MeasuredCost,
-    measured_codegen_cost,
     measured_cost,
 )
 from .dataflow import rule_cross_stage_contradiction, stage_environments
@@ -70,14 +67,12 @@ from .splitmode import (
     DEFAULT_SPLIT_LAG,
     INLINE_REQUIRED,
     SPLIT_SAFE,
-    CodegenCostEstimate,
     CostEstimate,
     Hazard,
     SplitLagSpec,
     SplitReport,
     analyze_split,
     backend_lag_profile,
-    estimate_codegen_cost,
     estimate_cost,
     parse_split_lag,
     resolve_split_lag,
@@ -86,10 +81,7 @@ from .splitmode import (
 
 __all__ = [
     "CALIBRATION",
-    "CALIBRATION_CODEGEN",
-    "MeasuredCodegenCost",
     "MeasuredCost",
-    "measured_codegen_cost",
     "measured_cost",
     "rule_cross_stage_contradiction",
     "stage_environments",
@@ -132,9 +124,7 @@ __all__ = [
     "DEFAULT_SPLIT_LAG",
     "INLINE_REQUIRED",
     "SPLIT_SAFE",
-    "CodegenCostEstimate",
     "CostEstimate",
-    "estimate_codegen_cost",
     "Hazard",
     "SplitLagSpec",
     "SplitReport",

@@ -16,19 +16,15 @@ catalog property that is rule-compilable (none today: the catalog rows
 all need egress taps, predicates, or out-of-band events; the corpus keeps
 the loop closed until one lands).
 
-The same loop closes over the software fast path: the
-``match_strategy="codegen"`` backend reports what it actually generated
-per property (event classes emitted, inline boolean terms, matcher
-source lines — :class:`repro.core.codegen.PropEmission`), a second
-checked-in table (:data:`CALIBRATION_CODEGEN`) pins those counts for the
-codegen corpus, and ``repro.lint.splitmode.estimate_codegen_cost``
-predicts the first two analytically from the dispatch plan.
+``tests/unit/test_calibration.py`` asserts that none of this can drift:
+the analytic estimate equals the emitted plan for every corpus property,
+and the checked-in table equals the live measurements and is regenerable
+byte-for-byte (``python -m tests.regen_calibration --check`` runs in CI).
 
-``tests/unit/test_calibration.py`` asserts three ways that none of this
-can drift: the analytic estimate equals the emitted plan for every corpus
-property, the checked-in tables equal the live measurements, and the
-tables are regenerable byte-for-byte (``python -m tests.regen_calibration
---check`` runs in CI).
+The software fast path needs no such loop: ``repro lint`` reports the
+codegen backend's own emission counts
+(:func:`repro.core.codegen.property_emission`), so there is no second
+model to keep equal.
 """
 
 from __future__ import annotations
@@ -47,22 +43,6 @@ class MeasuredCost:
     instance_tables: int
     rules_per_instance: int
     flow_mods_per_instance: int
-
-
-@dataclass(frozen=True)
-class MeasuredCodegenCost:
-    """One codegen calibration row: counts taken off the program the
-    ``match_strategy="codegen"`` backend actually generated.
-
-    ``event_classes`` and ``inline_terms`` have analytic twins in
-    :func:`repro.lint.splitmode.estimate_codegen_cost` (a test holds them
-    equal); ``matcher_lines`` is measured-only — the emitted source lines
-    attributable to the property across every generated function.
-    """
-
-    event_classes: int
-    inline_terms: int
-    matcher_lines: int
 
 
 #: Measured rule-plan counts per property, keyed by property name:
@@ -85,41 +65,6 @@ def measured_cost(name: str) -> Optional[MeasuredCost]:
     if row is None:
         return None
     return MeasuredCost(*row)
-
-
-#: Measured codegen-program counts per property, keyed by property name:
-#: ``(event_classes, inline_terms, matcher_lines)``.  Regenerate with
-#: ``python -m tests.regen_calibration`` after a codegen emission change;
-#: ``--check`` verifies this table against the live emitter.
-CALIBRATION_CODEGEN: Dict[str, Tuple[int, int, int]] = {
-    'arp-cache-preloaded': (2, 8, 148),
-    'arp-known-not-forwarded': (1, 4, 84),
-    'arp-unknown-forwarded': (2, 5, 94),
-    'cal-absent-cancel': (1, 4, 101),
-    'cal-absent-final': (1, 2, 81),
-    'cal-chain-2': (1, 1, 94),
-    'cal-chain-3': (1, 5, 155),
-    'cal-chain-cancel': (1, 7, 175),
-    'cal-observe-within': (1, 5, 155),
-    'dhcp-no-overlap': (1, 4, 84),
-    'dhcp-no-reuse': (2, 8, 128),
-    'dhcp-reply-within': (2, 3, 74),
-    'ftp-data-port-matches': (1, 5, 84),
-    'knocking-invalidated': (2, 9, 219),
-    'knocking-recognized': (2, 11, 199),
-    'lb-hashed-port': (2, 12, 108),
-    'lb-round-robin-port': (2, 12, 108),
-    'lb-sticky-port': (2, 26, 208),
-    'no-unfounded-reply': (2, 10, 128),
-}
-
-
-def measured_codegen_cost(name: str) -> Optional[MeasuredCodegenCost]:
-    """The checked-in codegen measurement for ``name``, if calibrated."""
-    row = CALIBRATION_CODEGEN.get(name)
-    if row is None:
-        return None
-    return MeasuredCodegenCost(*row)
 
 
 # ---------------------------------------------------------------------------
@@ -269,41 +214,5 @@ def regenerate() -> Dict[str, Tuple[int, int, int]]:
             plan.instance_tables,
             plan.rules_per_instance,
             plan.flow_mods_per_instance,
-        )
-    return table
-
-
-def codegen_corpus() -> Tuple[PropertySpec, ...]:
-    """Properties the codegen calibration pins: the rule-plan shapes plus
-    the full Table-1 catalog — codegen hosts every property (it has no
-    compilability gate), so the catalog rows calibrate for real instead
-    of waiting on a rule-compilable one."""
-    from ..props import build_table1  # deferred: heavy catalog imports
-
-    corpus = [
-        _chain_2(), _chain_3(), _chain_cancel(), _observe_within(),
-        _absent_final(), _absent_cancel(),
-    ]
-    corpus.extend(entry.prop for entry in build_table1())
-    return tuple(corpus)
-
-
-def regenerate_codegen() -> Dict[str, Tuple[int, int, int]]:
-    """Live emission counts — what :data:`CALIBRATION_CODEGEN` pins.
-
-    Each property is generated in isolation (one single-property monitor
-    per row) so the measurements are independent of catalog composition.
-    """
-    from ..core.monitor import Monitor  # deferred: core is heavy
-
-    table: Dict[str, Tuple[int, int, int]] = {}
-    for prop in codegen_corpus():
-        monitor = Monitor(match_strategy="codegen")
-        monitor.add_property(prop)
-        emission = monitor.codegen_emissions()[prop.name]
-        table[prop.name] = (
-            emission.event_classes,
-            emission.inline_terms,
-            emission.matcher_lines,
         )
     return table

@@ -98,23 +98,11 @@ def _prop_summary(prop: PropertyReport) -> List[str]:
             )
         if cost.codegen is not None:
             cg = cost.codegen
-            line = (
-                f"  {prop.name}: codegen ~{cg.event_classes} event "
-                f"class(es), {cg.inline_terms} inline term(s)"
+            lines.append(
+                f"  {prop.name}: codegen {cg.event_classes} event "
+                f"class(es), {cg.inline_terms} inline term(s), "
+                f"{cg.matcher_lines} matcher line(s)"
             )
-            if cg.measured is not None:
-                cm = cg.measured
-                agree = (
-                    cm.event_classes == cg.event_classes
-                    and cm.inline_terms == cg.inline_terms
-                )
-                line += (
-                    f"; emitter-measured {cm.event_classes}/"
-                    f"{cm.inline_terms} over {cm.matcher_lines} "
-                    f"matcher line(s) "
-                    f"({'matches estimate' if agree else 'DIVERGES from estimate'})"
-                )
-            lines.append(line)
     if prop.dispatch is not None:
         watchers = ", ".join(
             f"{kind}={count}" for kind, count in prop.dispatch.watchers
@@ -257,16 +245,7 @@ def _prop_json(prop: PropertyReport, path: str) -> Dict[str, Any]:
                 "codegen": None if split.cost.codegen is None else {
                     "event_classes": split.cost.codegen.event_classes,
                     "inline_terms": split.cost.codegen.inline_terms,
-                    "source": split.cost.codegen.source,
-                    "measured": None if split.cost.codegen.measured is None
-                    else {
-                        "event_classes":
-                            split.cost.codegen.measured.event_classes,
-                        "inline_terms":
-                            split.cost.codegen.measured.inline_terms,
-                        "matcher_lines":
-                            split.cost.codegen.measured.matcher_lines,
-                    },
+                    "matcher_lines": split.cost.codegen.matcher_lines,
                 },
             },
         }

@@ -43,16 +43,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from ..backends.varanus_compiler import VaranusCompileError, check_compilable
-from ..core.compile import dispatch_plan
-from ..core.refs import EventKind, EventPattern, MismatchAny
+from ..core.codegen import PropEmission, property_emission
+from ..core.refs import EventKind
 from ..core.spec import Absent, Observe, PropertySpec
 from ..switch.switch import DEFAULT_SPLIT_LAG
-from .calibration import (
-    MeasuredCodegenCost,
-    MeasuredCost,
-    measured_codegen_cost,
-    measured_cost,
-)
+from .calibration import MeasuredCost, measured_cost
 from .diagnostics import Diagnostic, make
 from .schema import field_bits
 
@@ -147,36 +142,6 @@ class Hazard:
 
 
 @dataclass(frozen=True)
-class CodegenCostEstimate:
-    """Predicted shape of the codegen backend's generated program.
-
-    Derived analytically from the dispatch plan — one generated evaluator
-    per concrete event class the property watches, and one inline boolean
-    term per emitted refinement/guard — without running the emitter.  The
-    emitter's actual counts (``repro.core.codegen.PropEmission``) are
-    pinned in ``CALIBRATION_CODEGEN`` for the corpus and surfaced here as
-    ``measured``; ``tests/unit/test_calibration.py`` holds the two sides
-    equal.
-    """
-
-    #: concrete event classes the generated program handles for this
-    #: property (one ``_eval__Cls`` body section each).
-    event_classes: int
-    #: inline boolean terms across every emitted matcher: refinements and
-    #: ``same_packet_as`` one each, ``MismatchAny`` one per pair, every
-    #: other guard one.
-    inline_terms: int
-    #: the checked-in emitter measurement, when this property is in
-    #: ``repro.lint.calibration.CALIBRATION_CODEGEN``.
-    measured: Optional[MeasuredCodegenCost] = None
-
-    @property
-    def source(self) -> str:
-        """"calibrated" when an emitter measurement backs the estimate."""
-        return "calibrated" if self.measured is not None else "model"
-
-
-@dataclass(frozen=True)
 class CostEstimate:
     """Static per-property resource estimate."""
 
@@ -202,10 +167,10 @@ class CostEstimate:
     #: the checked-in compiler measurement for this property, when it is
     #: in the calibration table (``repro.lint.calibration.CALIBRATION``).
     measured: Optional[MeasuredCost] = None
-    #: the software fast path's price: what the codegen backend would
-    #: generate for this property (always present — codegen hosts every
-    #: property, rule-compilable or not).
-    codegen: Optional[CodegenCostEstimate] = None
+    #: the software fast path's price: the codegen emitter's own counts
+    #: for this property (always present — codegen hosts every property,
+    #: rule-compilable or not).
+    codegen: Optional[PropEmission] = None
 
     @property
     def source(self) -> str:
@@ -324,7 +289,7 @@ def estimate_cost(prop: PropertySpec) -> CostEstimate:
     except VaranusCompileError as exc:
         model, reason = "engine", str(exc)
     state_bits = _state_bits(prop)
-    codegen = estimate_codegen_cost(prop)
+    codegen = property_emission(prop)
     if model == "engine":
         # The reference engine holds one instance record and applies one
         # (split-deferrable) update per advancement; depth follows the
@@ -368,46 +333,6 @@ def estimate_cost(prop: PropertySpec) -> CostEstimate:
         measured=measured_cost(prop.name),
         codegen=codegen,
     )
-
-
-def estimate_codegen_cost(prop: PropertySpec) -> CodegenCostEstimate:
-    """Predict the codegen backend's program shape from the dispatch plan.
-
-    Deliberately independent of the emitter: this walks
-    :func:`repro.core.compile.dispatch_plan` (the shared planning layer)
-    and applies the counting rule analytically, while the measured side
-    (``PropEmission``) is tallied off the source the emitter actually
-    wrote.  The two agreeing for the whole corpus is the calibration
-    invariant.
-    """
-    plan = dispatch_plan(prop)
-    terms = sum(
-        _inline_terms(watcher.pattern)
-        for watchers in plan.values()
-        for watcher in watchers
-    )
-    return CodegenCostEstimate(
-        event_classes=len(plan),
-        inline_terms=terms,
-        measured=measured_codegen_cost(prop.name),
-    )
-
-
-def _inline_terms(pattern: EventPattern) -> int:
-    """Boolean terms one matcher inlines: refinements (oob kind, egress
-    action, negated egress action) and the packet-uid linkage one each,
-    ``MismatchAny`` one per field pair, every other guard one."""
-    terms = sum(
-        1 for refinement in (
-            pattern.oob_kind,
-            pattern.egress_action,
-            pattern.not_egress_action,
-            pattern.same_packet_as,
-        ) if refinement is not None
-    )
-    for guard in pattern.guards:
-        terms += len(guard.pairs) if isinstance(guard, MismatchAny) else 1
-    return terms
 
 
 def _state_bits(prop: PropertySpec) -> int:

@@ -131,13 +131,30 @@ def event_to_dict(event: DataplaneEvent) -> dict:
 
 
 def event_from_dict(data: dict, max_layer: int = 7) -> DataplaneEvent:
-    """Rebuild one event from its dict form."""
+    """Rebuild one event from its dict form.
+
+    Raises :class:`TraceFormatError`, and nothing else, on any input it
+    cannot rebuild — wrong shapes and types included (a ``dict`` where
+    the packet hex belongs, a list where the event belongs) — so a
+    reader of untrusted frames needs to catch one exception type.
+    """
+    if not isinstance(data, dict):
+        raise TraceFormatError(
+            f"event must be a JSON object, got {type(data).__name__}")
     try:
-        kind = data["kind"]
-        switch_id = data["switch"]
-        time = float(data["time"])
+        return _event_from_dict(data, max_layer)
+    except TraceFormatError:
+        raise
     except KeyError as exc:
         raise TraceFormatError(f"trace line missing field {exc}") from exc
+    except Exception as exc:  # malformed input of any other shape
+        raise TraceFormatError(f"malformed event: {exc}") from exc
+
+
+def _event_from_dict(data: dict, max_layer: int) -> DataplaneEvent:
+    kind = data["kind"]
+    switch_id = data["switch"]
+    time = float(data["time"])
 
     def packet() -> Packet:
         parsed = wire_parse(bytes.fromhex(data["packet"]), max_layer=max_layer)
@@ -203,7 +220,7 @@ def _load(
             data = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-        if data.get("kind") == "TraceHeader":
+        if isinstance(data, dict) and data.get("kind") == "TraceHeader":
             if lineno == 1:
                 header = data
                 continue
@@ -294,7 +311,7 @@ def decode_frames(data: bytes, max_layer: int = 7) -> List[DataplaneEvent]:
                 f"truncated batch: frame {index} payload short")
         try:
             payload = json.loads(data[offset:offset + length].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise TraceFormatError(
                 f"frame {index}: invalid JSON payload: {exc}") from exc
         events.append(event_from_dict(payload, max_layer=max_layer))

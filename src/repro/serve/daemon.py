@@ -2,8 +2,10 @@
 
 One asyncio event loop owns everything: TCP ingest servers and pipe
 readers feed frames into the bounded :class:`~repro.serve.ingest.IngestQueue`;
-a dispatcher coroutine drains it in batches through the monitor's
-compiled ``observe_batch`` hot path; a poller coroutine drives
+a dispatcher coroutine drains it in batches into the monitor — one
+``observe`` per event wrapped in a root trace span under the default
+``trace_buffer=512``, a plain ``observe_batch`` call with tracing off
+(both run the monitor's one intake loop); a poller coroutine drives
 :class:`~repro.telemetry.StatsPoller` on the wall clock; and the HTTP
 plane answers ``/metrics``, ``/stats``, ``/healthz``, ``/readyz`` and
 ``/trace`` between batches.  Single-loop concurrency is the point —

@@ -49,14 +49,15 @@ def parse_frame(line: bytes, max_layer: int = 7) -> Optional[DataplaneEvent]:
 
     Returns ``None`` for blank lines and ``TraceHeader`` lines (senders
     may stream a recorded trace file verbatim, header included); raises
-    :class:`FrameError` for anything else that does not parse.
+    :class:`FrameError`, and nothing else, for anything that does not
+    parse — the daemon counts it and reads on.
     """
     text = line.strip()
     if not text:
         return None
     try:
         data = json.loads(text.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON, nesting
         raise FrameError(f"invalid frame: {exc}") from exc
     if not isinstance(data, dict):
         raise FrameError(f"frame must be a JSON object, got {type(data).__name__}")
@@ -64,7 +65,7 @@ def parse_frame(line: bytes, max_layer: int = 7) -> Optional[DataplaneEvent]:
         return None
     try:
         return event_from_dict(data, max_layer=max_layer)
-    except (TraceFormatError, KeyError, ValueError) as exc:
+    except TraceFormatError as exc:
         raise FrameError(f"invalid frame: {exc}") from exc
 
 

@@ -194,23 +194,29 @@ def arrival(n, t, dst_port=99):
 
 
 class TestPoisonQuarantine:
-    def test_poison_batch_is_quarantined_not_retried_forever(self):
-        policy = SupervisorPolicy(poison_threshold=2, restart_budget=10,
-                                  checkpoint_interval=10_000,
-                                  heartbeat_interval=1e9,
-                                  heartbeat_timeout=10.0,
-                                  backoff_base=0.0, backoff_max=0.0)
+    """Whether the worker's death is noticed by a later send (EPIPE) or
+    only at ``stop()`` depends on pipe buffering and scheduling; either
+    way the poison batch must end up quarantined, never ledgered as a
+    hung worker."""
+
+    BATCH = 25
+    POLICY = SupervisorPolicy(poison_threshold=2, restart_budget=10,
+                              checkpoint_interval=10_000,
+                              heartbeat_interval=1e9,
+                              heartbeat_timeout=10.0,
+                              backoff_base=0.0, backoff_max=0.0)
+
+    def run(self, batches_after_poison):
         fabric = ShardedMonitor([poison_prop()], num_shards=2, mode="mp",
-                                supervision=policy)
+                                supervision=self.POLICY)
         try:
             t = 0.0
-            batch_size = 25
             made = 0
 
             def next_batch(poison=False):
                 nonlocal t, made
                 out = []
-                for _ in range(batch_size):
+                for _ in range(self.BATCH):
                     t += 0.01
                     made += 1
                     out.append(arrival(made, t))
@@ -221,10 +227,10 @@ class TestPoisonQuarantine:
 
             fabric.observe_batch(next_batch())
             fabric.observe_batch(next_batch(poison=True))  # kills worker
-            # subsequent batches trigger detect -> restart -> replay;
+            # Detect -> restart -> replay, on a later send or at stop():
             # the replayed poison batch kills two replacements, then is
-            # quarantined and the third replay goes through clean
-            for _ in range(6):
+            # quarantined and the third replay goes through clean.
+            for _ in range(batches_after_poison):
                 fabric.observe_batch(next_batch())
             fabric.stop(now=t + 1.0)
 
@@ -232,12 +238,21 @@ class TestPoisonQuarantine:
             assert len(sup.quarantine_log) == 1
             record = sup.quarantine_log[0]
             assert record.kills == 2
-            assert record.events == batch_size + 1
+            assert record.events == self.BATCH + 1
             assert sup.total_restarts() >= 2
             assert not sup.failed()
             by_kind = fabric.ledger.summary()["by_kind"]
             assert by_kind[KIND_QUARANTINE] == record.events
+            assert KIND_QUIT_TIMEOUT not in by_kind
             rows = fabric.shard_liveness()
             assert sum(r["quarantined_batches"] for r in rows) == 1
         finally:
             fabric.close()
+
+    def test_poison_batch_is_quarantined_not_retried_forever(self):
+        self.run(batches_after_poison=6)
+
+    def test_poison_then_immediate_stop_is_recovered_at_quiesce(self):
+        """The worker is still chewing on (or just died of) the poison
+        when ``stop()`` runs, so only quiesce can notice the death."""
+        self.run(batches_after_poison=0)

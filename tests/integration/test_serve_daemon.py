@@ -173,6 +173,31 @@ class TestEndToEnd:
             report = handle.stop()
         assert report.frame_errors == 2
 
+    def test_malformed_frame_mid_stream_keeps_the_connection(self, trace_path):
+        """A frame that is valid JSON but not a valid event (a packet
+        object where the hex belongs) is one counted frame error; the
+        lines after it on the same connection are still observed."""
+        import socket
+
+        with open(trace_path, "rb") as fp:
+            lines = [line for line in fp.read().splitlines()
+                     if b"TraceHeader" not in line]
+        bad = (b'{"kind":"PacketArrival","time":0,"switch":"s",'
+               b'"in_port":1,"packet":{"uid":1,"headers":[5]}}')
+        half = len(lines) // 2
+        stream = lines[:half] + [bad] + lines[half:]
+        daemon, handle = boot()
+        try:
+            with socket.create_connection(
+                    ("127.0.0.1", daemon.ingest_ports[0])) as sock:
+                sock.sendall(b"\n".join(stream) + b"\n")
+            assert wait_until(
+                lambda: daemon.monitor.stats.events >= len(lines))
+        finally:
+            report = handle.stop()
+        assert report.frame_errors == 1
+        assert report.events_observed == len(lines)
+
 
 class TestBackpressure:
     def test_flood_flips_readyz_and_ledgers_sheds(self, trace_path):

@@ -20,6 +20,7 @@ exercised against its interpreted twin.
 """
 
 import itertools
+import zlib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +41,7 @@ from repro.core import (
     PropertySpec,
     Var,
 )
+from repro.core.degradation import EVICT_OLDEST, DegradationPolicy
 from repro.packet import ethernet
 from repro.switch.events import (
     EgressAction,
@@ -49,6 +51,8 @@ from repro.switch.events import (
     PacketDrop,
     PacketEgress,
 )
+from repro.switch.switch import ProcessingMode
+from repro.telemetry import MetricsRegistry
 
 addr = st.integers(min_value=1, max_value=4)
 
@@ -66,6 +70,12 @@ STAT_FIELDS = (
     "refreshes",
     "candidates_examined",
     "ops_applied",
+)
+DEGRADATION_FIELDS = (
+    "instances_evicted",
+    "instances_rejected",
+    "ops_shed",
+    "op_retries",
 )
 
 
@@ -262,6 +272,65 @@ def run_config(events, store_strategy, match_strategy):
     return violations, stats
 
 
+def _key_parity(name, key):
+    """A deterministic half of the key space (the fabric's ownership
+    predicate shape)."""
+    return zlib.crc32(repr((name, key)).encode()) % 2 == 0
+
+
+#: the intake configurations the single loop must treat alike: every
+#: routing branch (inline, split enqueue, degraded split), a bounded
+#: store, a key filter, and telemetry on (inline, and split for the
+#: pending-depth histogram).
+INTAKE_CONFIGS = ("plain", "telemetry", "split", "telemetry-split",
+                  "bounded", "key-filter")
+
+
+def intake_monitor(config, match_strategy):
+    kwargs = {}
+    if config.startswith("telemetry"):
+        kwargs["registry"] = MetricsRegistry()
+    if config.endswith("split"):
+        kwargs.update(mode=ProcessingMode.SPLIT, split_lag=0.5)
+    elif config == "bounded":
+        kwargs.update(
+            mode=ProcessingMode.SPLIT, split_lag=0.5,
+            degradation=DegradationPolicy(
+                max_instances=2, eviction=EVICT_OLDEST, max_pending_ops=3,
+                retry_backoff=0.25, max_retries=1))
+    elif config == "key-filter":
+        kwargs["key_filter"] = _key_parity
+    monitor = Monitor(match_strategy=match_strategy, **kwargs)
+    for prop in probe_catalog():
+        monitor.add_property(prop)
+    return monitor
+
+
+def run_intake(events, config, match_strategy, batched):
+    monitor = intake_monitor(config, match_strategy)
+    if batched:
+        monitor.observe_batch(events)
+    else:
+        for event in events:
+            monitor.observe(event)
+    monitor.advance_to(events[-1].time + 100.0)
+    violations = [
+        (v.property_name, round(v.time, 9), v.message, tuple(sorted(
+            (k, str(val)) for k, val in v.bindings.items())))
+        for v in monitor.violations
+    ]
+    stats = {name: getattr(monitor.stats, name)
+             for name in STAT_FIELDS + DEGRADATION_FIELDS}
+    ledger = [(r.kind, r.prop, r.detail, r.time, r.impacts)
+              for r in monitor.ledger.records]
+    registry = monitor.registry.snapshot()
+    if config.startswith("telemetry"):
+        names = {m["name"] for m in registry["metrics"]}
+        assert "repro_monitor_candidates_per_event" in names
+        assert "repro_instance_store_live_instances" in names
+    return violations, stats, ledger, registry
+
+
 class TestMatchStrategyEquivalence:
     @settings(max_examples=50, deadline=None)
     @given(event_streams())
@@ -303,27 +372,18 @@ class TestMatchStrategyEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(event_streams())
     def test_batch_equals_loop(self, events):
-        """observe_batch must be just a loop unroll: the compiled fast
-        path hoists attribute lookups, the codegen path transposes chunks
-        into ColumnarBatch columns and prefilters stage-0 matches — both
-        must yield the violations and counters of event-at-a-time
-        observe."""
-        looped = run_config(events, "indexed", "compiled")
-
-        for match in ("compiled", "codegen"):
-            monitor = Monitor(match_strategy=match)
-            for prop in probe_catalog():
-                monitor.add_property(prop)
-            monitor.observe_batch(events)
-            monitor.advance_to(events[-1].time + 100.0)
-            batched_violations = [
-                (v.property_name, round(v.time, 9), v.message, tuple(sorted(
-                    (k, str(val)) for k, val in v.bindings.items())))
-                for v in monitor.violations
-            ]
-            batched_stats = {name: getattr(monitor.stats, name)
-                             for name in STAT_FIELDS}
-            assert (batched_violations, batched_stats) == looped, match
+        """``observe_batch`` and event-at-a-time ``observe`` run the same
+        intake loop, so for every strategy — codegen's columnar chunks
+        included — and every intake configuration they must yield the
+        compiled loop's violations, counters, and ledger; with telemetry
+        on, the whole registry too (candidates-per-event histogram and
+        per-property live gauges among it)."""
+        for config in INTAKE_CONFIGS:
+            reference = run_intake(events, config, "compiled", batched=False)
+            for match in MATCH_STRATEGIES:
+                for batched in (False, True):
+                    got = run_intake(events, config, match, batched)
+                    assert got == reference, (config, match, batched)
 
     @settings(max_examples=15, deadline=None)
     @given(event_streams())

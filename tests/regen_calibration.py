@@ -1,18 +1,14 @@
-"""Regenerate the calibration tables in ``repro/lint/calibration.py``.
+"""Regenerate the calibration table in ``repro/lint/calibration.py``.
 
-Run after a deliberate Varanus-compiler rule-plan change or a codegen
-emission change::
+Run after a deliberate Varanus-compiler rule-plan change::
 
     PYTHONPATH=src python -m tests.regen_calibration
 
 The script measures every calibration-corpus property with
-``plan_property`` (the compiler table) and every codegen-corpus property
-with a single-property codegen monitor (the codegen table), then splices
-the resulting dict literals over the ``CALIBRATION = {...}`` and
-``CALIBRATION_CODEGEN = {...}`` blocks in the module source.  ``--check``
-compares the live measurements against the checked-in tables without
-writing (exit 1 on drift) — CI runs this so the tables cannot go stale
-silently.
+``plan_property``, then splices the resulting dict literal over the
+``CALIBRATION = {...}`` block in the module source.  ``--check`` compares
+the live measurements against the checked-in table without writing
+(exit 1 on drift) — CI runs this so the table cannot go stale silently.
 """
 
 import argparse
@@ -21,19 +17,13 @@ import re
 import sys
 
 from repro.lint import calibration
-from repro.lint.calibration import (
-    CALIBRATION,
-    CALIBRATION_CODEGEN,
-    regenerate,
-    regenerate_codegen,
-)
+from repro.lint.calibration import CALIBRATION, regenerate
 
 SOURCE = calibration.__file__
 
 #: (table name, checked-in table, live measurer) for each spliced block.
 TABLES = (
     ("CALIBRATION", CALIBRATION, regenerate),
-    ("CALIBRATION_CODEGEN", CALIBRATION_CODEGEN, regenerate_codegen),
 )
 
 

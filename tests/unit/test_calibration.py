@@ -9,6 +9,9 @@ Three invariants keep the estimate-vs-measured loop closed:
   regen script's --check, exercised here directly);
 * a compiled corpus property really *behaves* like its plan says — the
   switch's meter observes the planned flow-mod count on a violating run.
+
+The codegen cost block has no estimate to calibrate: lint reports the
+emitter's own counts, which ``TestCodegenCalibration`` pins.
 """
 
 import pytest
@@ -20,20 +23,43 @@ from repro.backends.varanus_compiler import (
 )
 from repro.lint.calibration import (
     CALIBRATION,
-    CALIBRATION_CODEGEN,
-    MeasuredCodegenCost,
     MeasuredCost,
     calibration_corpus,
-    codegen_corpus,
-    measured_codegen_cost,
     measured_cost,
     regenerate,
-    regenerate_codegen,
 )
-from repro.lint.splitmode import estimate_codegen_cost, estimate_cost
+from repro.lint.splitmode import estimate_cost
+from repro.props import build_table1
 
 CORPUS = {prop.name: prop for prop in calibration_corpus()}
-CODEGEN_CORPUS = {prop.name: prop for prop in codegen_corpus()}
+#: the rule-plan shapes plus the full Table-1 catalog — codegen hosts
+#: every property, so nothing waits on rule-compilability.
+CODEGEN_CORPUS = {
+    **CORPUS, **{entry.prop.name: entry.prop for entry in build_table1()}}
+
+#: ``(event_classes, inline_terms)`` per property: how an emission is
+#: laid out may change, what a property costs must not drift with it.
+CODEGEN_COUNTS = {
+    'arp-cache-preloaded': (2, 8),
+    'arp-known-not-forwarded': (1, 4),
+    'arp-unknown-forwarded': (2, 5),
+    'cal-absent-cancel': (1, 4),
+    'cal-absent-final': (1, 2),
+    'cal-chain-2': (1, 1),
+    'cal-chain-3': (1, 5),
+    'cal-chain-cancel': (1, 7),
+    'cal-observe-within': (1, 5),
+    'dhcp-no-overlap': (1, 4),
+    'dhcp-no-reuse': (2, 8),
+    'dhcp-reply-within': (2, 3),
+    'ftp-data-port-matches': (1, 5),
+    'knocking-invalidated': (2, 9),
+    'knocking-recognized': (2, 11),
+    'lb-hashed-port': (2, 12),
+    'lb-round-robin-port': (2, 12),
+    'lb-sticky-port': (2, 26),
+    'no-unfounded-reply': (2, 10),
+}
 
 
 def test_corpus_is_rule_compilable():
@@ -95,39 +121,23 @@ def test_uncalibrated_property_has_no_measurement():
 
 
 class TestCodegenCalibration:
-    """The codegen side of the estimate-vs-measured loop."""
-
-    def test_corpus_spans_rule_shapes_and_the_catalog(self):
-        # Every compiler-calibration shape recurs, plus the full Table-1
-        # catalog — codegen hosts everything, so nothing waits on
-        # rule-compilability.
-        assert set(CORPUS) <= set(CODEGEN_CORPUS)
-        assert sum(1 for n in CODEGEN_CORPUS if not n.startswith("cal-")) >= 13
+    """Lint's codegen cost block is the emitter's own count."""
 
     @pytest.mark.parametrize("name", sorted(CODEGEN_CORPUS))
     def test_estimate_matches_emitted_program(self, name):
-        """The analytic dispatch-plan walk predicts exactly what the
-        emitter generated: event classes and inline boolean terms."""
+        """The cost estimate's codegen block equals what a codegen
+        monitor actually generated for the property, and the counts
+        are the ones the property has always had."""
         from repro.core import Monitor
 
-        est = estimate_codegen_cost(CODEGEN_CORPUS[name])
+        block = estimate_cost(CODEGEN_CORPUS[name]).codegen
         monitor = Monitor(match_strategy="codegen")
         monitor.add_property(CODEGEN_CORPUS[name])
-        emission = monitor.codegen_emissions()[name]
-        assert est.event_classes == emission.event_classes
-        assert est.inline_terms == emission.inline_terms
-        assert emission.matcher_lines > 0  # measured-only, sanity floor
-
-    def test_checked_in_table_matches_live_emissions(self):
-        assert regenerate_codegen() == CALIBRATION_CODEGEN, (
-            "CALIBRATION_CODEGEN drifted from the emitter: rerun "
-            "PYTHONPATH=src python -m tests.regen_calibration")
-
-    def test_estimator_consults_the_table(self):
-        est = estimate_codegen_cost(CODEGEN_CORPUS["knocking-invalidated"])
-        assert est.source == "calibrated"
-        assert est.measured == MeasuredCodegenCost(
-            *CALIBRATION_CODEGEN["knocking-invalidated"])
+        monitor.codegen_source()  # forces the lazy build
+        assert block == monitor._codegen_program.emissions[name]
+        assert (block.event_classes, block.inline_terms) == \
+            CODEGEN_COUNTS[name]
+        assert block.matcher_lines > 0
 
     def test_cost_estimate_carries_codegen_for_engine_props(self):
         # Catalog rows are engine-model for the rule compiler, but the
@@ -135,10 +145,7 @@ class TestCodegenCalibration:
         est = estimate_cost(CODEGEN_CORPUS["knocking-invalidated"])
         assert est.model == "engine"
         assert est.codegen is not None
-        assert est.codegen.source == "calibrated"
-
-    def test_uncalibrated_property_has_no_measurement(self):
-        assert measured_codegen_cost("not-in-the-table") is None
+        assert est.codegen.name == "knocking-invalidated"
 
 
 def test_planned_flow_mods_match_metered_run():

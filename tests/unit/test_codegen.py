@@ -69,8 +69,9 @@ class TestProgramSurface:
         monitor.add_property(CATALOG["dhcp-reply-within"])
         monitor.codegen_source()
         program = monitor._codegen_program
-        for fn in program.eval_fns.values():
-            assert fn.__code__.co_filename == "<repro-codegen>"
+        for fns in program.batch_fns.values():
+            assert fns.eval_batch.__code__.co_filename == "<repro-codegen>"
+            assert fns.extract.__code__.co_filename == "<repro-codegen>"
 
 
 class TestExplainCommand:
@@ -81,7 +82,7 @@ class TestExplainCommand:
         assert rc in (0, None)
         out = buf.getvalue()
         assert out.startswith("# repro codegen program")
-        assert "_eval__PacketArrival" in out
+        assert "_evalb__PacketArrival" in out
 
     def test_explain_unknown_property_fails(self, capsys):
         rc = cli_main(["explain", "no-such-property"])

@@ -622,3 +622,39 @@ class TestParseDepthLimit:
             shallow.observe(e)
         assert len(deep.violations) == 1
         assert shallow.violations == []  # fields never bound
+
+
+class TestIntakeEntryPoints:
+    """``observe`` and ``observe_batch`` share one intake loop but never
+    route through each other's public name: a caller that wraps both on
+    an instance (a tap, a tracer) must see each event exactly once."""
+
+    @pytest.mark.parametrize("strategy", ["compiled", "interpreted",
+                                          "codegen"])
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_wrapping_both_sees_each_event_once(self, strategy, telemetry):
+        from repro.telemetry import MetricsRegistry
+
+        monitor = Monitor(match_strategy=strategy,
+                          registry=MetricsRegistry() if telemetry else None)
+        monitor.add_property(two_stage())
+        calls = []
+        observe, observe_batch = monitor.observe, monitor.observe_batch
+
+        def tap_observe(event):
+            calls.append("observe")
+            observe(event)
+
+        def tap_observe_batch(events):
+            calls.append("batch")
+            observe_batch(events)
+
+        monitor.observe = tap_observe
+        monitor.observe_batch = tap_observe_batch
+        a = ethernet("00:00:00:00:00:01", "00:00:00:00:00:02")
+        b = ethernet("00:00:00:00:00:02", "00:00:00:00:00:01")
+        monitor.observe(arr(a, 0.0))
+        monitor.observe_batch([arr(b, 1.0)])
+        assert calls == ["observe", "batch"]
+        assert monitor.stats.events == 2
+        assert len(monitor.violations) == 1

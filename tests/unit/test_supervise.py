@@ -24,6 +24,7 @@ from repro.fabric.supervise import (
     KIND_GAP,
     KIND_LOST_OP,
     KIND_QUARANTINE,
+    KIND_QUIT_TIMEOUT,
     KIND_SHARD_LOST,
 )
 from repro.packet import tcp_packet
@@ -55,6 +56,8 @@ class FakeWorker:
         self._acks = []
         #: predicate(batch) -> bool; True kills this worker on delivery
         self.die_on = die_on
+        #: "snapshot" (answers), "dies" (crashes mid-quit) or "hangs"
+        self.quit_reply = "snapshot"
 
     def _check(self):
         if not self.alive:
@@ -101,7 +104,13 @@ class FakeWorker:
             if self._want_state else None)
 
     def quit(self, timeout):
+        self._check()
+        if self.quit_reply == "dies":
+            self.alive = False
+            raise ShardDied(f"shard {self.idx}: died while quitting")
         self.alive = False
+        if self.quit_reply == "hangs":
+            return None
         return ShardSnapshot(shard=self.idx, now=0.0, live_instances=0,
                              pending_ops=0, counters={}, peaks={})
 
@@ -281,6 +290,49 @@ class TestQuarantine:
                     for b in spawned[-1].received]
         assert [666.0] not in replayed
         assert sup.liveness()[0]["quarantined_batches"] == 1
+
+
+# -- quiesce ----------------------------------------------------------------
+
+class TestQuiesce:
+    POLICY = SupervisorPolicy(backoff_base=0.0, backoff_max=0.0)
+
+    def test_worker_dead_after_last_send_is_replayed_exactly(self):
+        """A crash no pipe interaction noticed is recovered at quiesce:
+        one restart, the journal replayed batch for batch, no
+        quit-timeout ink."""
+        sup, ledger, spawned, clock = make_supervisor(self.POLICY)
+        sup.send_batch(0, batch(1.0))
+        sup.send_batch(0, batch(2.0, 3.0))
+        spawned[0].alive = False  # crashed after its last successful send
+        snaps = sup.quiesce()
+        assert sup.total_restarts() == 1
+        assert len(spawned) == 2
+        replayed = [[e.time for e in b] for b in spawned[1].received]
+        assert replayed == [[1.0], [2.0, 3.0]]
+        assert snaps[0] is not None
+        assert KIND_QUIT_TIMEOUT not in ledger.summary()["by_kind"]
+        assert len(ledger) == 0
+
+    def test_worker_dying_mid_quit_is_recovered(self):
+        sup, ledger, spawned, clock = make_supervisor(self.POLICY)
+        sup.send_batch(0, batch(1.0))
+        spawned[0].quit_reply = "dies"
+        snaps = sup.quiesce()
+        assert sup.total_restarts() == 1
+        assert [[e.time for e in b] for b in spawned[1].received] == [[1.0]]
+        assert snaps[0] is not None
+        assert len(ledger) == 0
+
+    def test_live_unresponsive_worker_is_ledgered_as_quit_timeout(self):
+        sup, ledger, spawned, clock = make_supervisor(self.POLICY)
+        sup.send_batch(0, batch(1.0, 2.0))
+        spawned[0].quit_reply = "hangs"
+        snaps = sup.quiesce()
+        assert snaps[0] is None
+        assert sup.total_restarts() == 0
+        assert ledger.summary()["by_kind"][KIND_QUIT_TIMEOUT] == 2
+        assert sup.liveness()[0]["down_reason"] == "hung at quiesce"
 
 
 # -- duplicate suppression --------------------------------------------------
