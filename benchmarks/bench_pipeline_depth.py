@@ -168,50 +168,59 @@ def test_estimate_matches_measured_depth(benchmark):
             f"{name}: estimate {est} != measured {measured}")
 
 
-def test_estimate_matches_compiler_rule_plan(benchmark):
-    """The calibrated cost model against the compiler's emitted plans.
+def test_rule_cost_matches_metered_lifecycle(benchmark):
+    """The linter's rules-model cost block against a compiled switch.
 
-    For every rule-compilable property — the calibration corpus plus any
-    Table-1 catalog row ``check_compilable`` accepts — the estimator's
-    tables/rules/flow-mods per instance must equal what
-    ``plan_property`` counts off the rule plan ``compile_property``
-    actually emits, and the checked-in calibration table must agree.
+    ``estimate_cost`` reports the Varanus compiler's own plan counts
+    (``plan_property``).  Driving one instance of a rule-compilable
+    knock chain through its violating lifecycle on a switch running the
+    compiled rules must unroll that many instance tables and issue that
+    many slow-path flow-mods.
     """
-    from repro.backends.varanus_compiler import plan_property
-    from repro.lint.calibration import calibration_corpus, measured_cost
+    from repro.backends.varanus_compiler import compile_property
+    from repro.core import Bind, Const, EventPattern, FieldEq, Observe, PropertySpec, Var
+    from repro.core.refs import EventKind
     from repro.lint.splitmode import estimate_cost
+    from repro.netsim import EventScheduler
+    from repro.packet import tcp_syn
+    from repro.switch.pipeline import MissPolicy
+    from repro.switch.switch import Switch
+
+    knock = [7001, 7002, 22]
+    prop = PropertySpec(
+        name="metered-chain", description="",
+        stages=tuple(
+            Observe(f"k{i}", EventPattern(
+                kind=EventKind.ARRIVAL,
+                guards=((FieldEq("ipv4.src", Var("K")),) if i else ())
+                + (FieldEq("tcp.dst", Const(port)),),
+                binds=() if i else (Bind("K", "ipv4.src"),)))
+            for i, port in enumerate(knock)),
+        key_vars=("K",),
+    )
 
     def run():
-        rows = []
-        for prop in calibration_corpus():
-            est = estimate_cost(prop)
-            plan = plan_property(prop)
-            rows.append((prop.name, est, plan, measured_cost(prop.name)))
-        return rows
+        switch = Switch("mon", EventScheduler(), num_ports=2, num_tables=1,
+                        miss_policy=MissPolicy.FLOOD)
+        compile_property(switch, prop)
+        depth, updates = switch.pipeline.depth, switch.meter.slow_updates
+        tables = 0
+        for port in knock:
+            switch.receive(
+                tcp_syn(1, 2, "10.0.0.1", "10.0.0.9", 30000, port), 1)
+            tables = max(tables, switch.pipeline.depth - depth)
+        return tables, switch.meter.slow_updates - updates
 
-    rows = benchmark(run)
-    print("\nestimated vs compiler-measured rule plans, per instance")
-    print(f"  {'property':<20} {'tables':>13} {'rules':>13} {'flow-mods':>13}")
-    for name, est, plan, _ in rows:
-        print(
-            f"  {name:<20}"
-            f" {est.instance_tables:5d}/{plan.instance_tables:<7d}"
-            f" {est.rules_per_instance:5d}/{plan.rules_per_instance:<7d}"
-            f" {est.slow_updates_per_instance:5d}/"
-            f"{plan.flow_mods_per_instance:<7d}"
-        )
-    print("  (columns are estimated/measured)")
-    assert rows, "calibration corpus is empty"
-    for name, est, plan, table_row in rows:
-        assert est.model == "rules", f"{name}: not rule-compilable"
-        assert est.instance_tables == plan.instance_tables, name
-        assert est.rules_per_instance == plan.rules_per_instance, name
-        assert est.slow_updates_per_instance == \
-            plan.flow_mods_per_instance, name
-        assert table_row is not None, (
-            f"{name}: missing from CALIBRATION — "
-            "run python -m tests.regen_calibration")
-        assert est.measured == table_row, name
+    tables, flow_mods = benchmark(run)
+    est = estimate_cost(prop)
+    print("\nrules-model cost vs metered lifecycle, per instance")
+    print(f"  instance tables  {est.instance_tables:3d} / {tables:<3d}")
+    print(f"  flow-mods        {est.slow_updates_per_instance:3d} / "
+          f"{flow_mods:<3d}")
+    print("  (columns are linted/metered)")
+    assert est.model == "rules"
+    assert (est.instance_tables, est.slow_updates_per_instance) == \
+        (tables, flow_mods)
 
 
 def test_crossover_varanus_costlier_beyond_stage_count(benchmark):

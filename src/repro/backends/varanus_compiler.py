@@ -92,6 +92,11 @@ def _check_pattern(pattern: EventPattern, where: str) -> None:
 
 def check_compilable(prop: PropertySpec) -> None:
     """Raise :class:`VaranusCompileError` unless ``prop`` is expressible."""
+    if prop.num_stages < 2:
+        raise VaranusCompileError(
+            f"property {prop.name!r}: a single-stage property has no "
+            "watcher to learn (the rule layout unrolls stages 1..n into "
+            "per-instance tables)")
     for i, stage in enumerate(prop.stages):
         where = f"property {prop.name!r} stage {stage.name!r}"
         _check_pattern(stage.pattern, where)

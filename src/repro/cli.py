@@ -44,6 +44,7 @@ Named predicates available to DSL files via ``check``/``replay``:
 from __future__ import annotations
 
 import argparse
+import bisect
 import sys
 from typing import List, Optional
 
@@ -309,16 +310,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
         with open(args.target, "r", encoding="utf-8") as fp:
             props = compile_source(fp.read(), _predicates())
     else:
-        from .props import (
-            build_table1,
-            learned_no_flood,
-            learned_unicast_port,
-            link_down_clears_learning,
-        )
+        from .props import build_table1, worked_examples
 
-        known = [e.prop for e in build_table1()]
-        known += [learned_unicast_port(), learned_no_flood(),
-                  link_down_clears_learning()]
+        known = [e.prop for e in build_table1()] + list(worked_examples())
         props = [p for p in known if p.name == args.target]
         if not props:
             names = ", ".join(sorted(p.name for p in known))
@@ -392,23 +386,18 @@ def cmd_stats(args: argparse.Namespace) -> int:
         start = events[0].time if events else 0.0
         poller = StatsPoller(registry, args.poll_interval, start_time=start)
 
-    if poller is None and tracer is None:
-        # No per-event instrumentation requested: take the batch fast path.
-        monitor.observe_batch(events)
-    else:
-        for event in events:
-            if poller is not None:
-                poller.advance_to(event.time)
-            root = None
-            if tracer is not None:
-                packet = getattr(event, "packet", None)
-                root = tracer.start(
-                    type(event).__name__, event.time,
-                    uid=packet.uid if packet is not None else None,
-                    root=True, switch=event.switch_id)
-            monitor.observe(event)
-            if root is not None:
-                tracer.end(root, monitor.now)
+    # One observe_batch per poll interval: each batch ends before the
+    # poller's next tick, so every sample sees the events before it.
+    times = [event.time for event in events]
+    start = 0
+    while start < len(events):
+        end = len(events)
+        if poller is not None:
+            poller.advance_to(times[start])
+            end = max(start + 1,
+                      bisect.bisect_left(times, poller.next_due, start))
+        monitor.observe_batch(events[start:end])
+        start = end
     if events:
         monitor.advance_to(events[-1].time + args.settle)
     if poller is not None and events:
@@ -593,8 +582,7 @@ def cmd_send(args: argparse.Namespace) -> int:
     try:
         result = stream_trace(args.trace, args.host, args.port,
                               rate=args.rate, repeat=args.repeat,
-                              retry=args.retry, backoff=args.backoff,
-                              format=args.format)
+                              retry=args.retry, backoff=args.backoff)
     except ConnectionRefusedError:
         print(f"error: nothing listening on {args.host}:{args.port} "
               "(is `repro serve` running?"
@@ -837,11 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "consecutive failure (reset on success)")
     send.add_argument("--repeat", type=int, default=1,
                       help="stream the whole trace N times (default: 1)")
-    send.add_argument("--format", default="jsonl",
-                      choices=["jsonl", "rpf1"],
-                      help="wire encoding: newline-JSON lines, or the "
-                           "RPF1 framed binary codec (the daemon "
-                           "auto-detects either; default: jsonl)")
     send.set_defaults(fn=cmd_send)
     return parser
 

@@ -503,10 +503,11 @@ class Monitor:
         self._intake((event,))
 
     def observe_batch(self, events: Sequence[DataplaneEvent]) -> None:
-        """Process a sequence of events (the replay entry point).
+        """Process a sequence of events (the replay and serve entry point).
 
         Exactly ``for e in events: self.observe(e)`` — both run the one
-        intake loop, whatever the strategy, mode, or telemetry setting.
+        intake loop, whatever the strategy, mode, telemetry or tracing
+        setting.
         """
         self._intake(events)
 
@@ -514,15 +515,21 @@ class Monitor:
         """The monitor's one per-event loop.
 
         Owns the clock, the event counter, op routing (inline apply,
-        split enqueue, degraded split through the control channel) and
-        the telemetry-on extras (candidates-per-event and pending-depth
-        histograms, per-property live gauges).  The match strategy only
+        split enqueue, degraded split through the control channel), the
+        telemetry-on extras (candidates-per-event and pending-depth
+        histograms, per-property live gauges) and, with a live tracer,
+        each event's root span: opened before the clock advances to the
+        event, closed at the monitor's time once its ops are routed, so
+        the create/advance/kill/violation spans it causes nest under it
+        (no span opens when one is already open for the packet uid, as
+        under a switch's ``switch.receive``).  The match strategy only
         supplies each event's ops.  ``observe`` and ``observe_batch``
         each call this directly, never one another: callers may wrap
-        either public method (a tap, a tracer) without seeing events
-        twice.
+        either public method (a tap) without seeing events twice.
         """
         telemetry = self.registry.enabled
+        tracer = self.tracer
+        traced = tracer.enabled
         inline = self.mode is ProcessingMode.INLINE
         degraded = self.op_faults is not None or self.degradation is not None
         advance_to = self.advance_to
@@ -539,6 +546,7 @@ class Monitor:
         for chunk in chunks:
             ops_of = self._evaluator(chunk)
             for event in chunk:
+                root = tracer.event_root(event) if traced else None
                 advance_to(event.time)
                 inc_event()
                 if telemetry:
@@ -573,6 +581,8 @@ class Monitor:
                     self._track_peak()
                 else:
                     set_live(float(self._live_total))
+                if root is not None:
+                    tracer.end(root, self._now)
 
     def advance_to(self, when: float) -> None:
         """Move monitor time forward, firing due timers and pending ops.

@@ -198,6 +198,18 @@ class ShardedMonitor:
     def observe_batch(self, events: Sequence[DataplaneEvent]) -> None:
         if not events:
             return
+        tracer = self._tracer
+        if tracer.enabled:
+            # Each event's root span, closed at the fabric clock as it
+            # stands after that event — the span a plain monitor's intake
+            # opens (shards run null tracers, so no children nest here).
+            now = self._now
+            for event in events:
+                root = tracer.event_root(event)
+                if event.time > now:
+                    now = event.time
+                if root is not None:
+                    tracer.end(root, now)
         batches = self.router.split(events)
         last = events[-1].time
         if last > self._now:
@@ -257,8 +269,8 @@ class ShardedMonitor:
     @tracer.setter
     def tracer(self, tracer: Tracer) -> None:
         # Shards keep their null tracers: spans are a single-process
-        # debug instrument, and serve's per-event root spans are opened
-        # by the daemon around fabric calls, not inside the engine.
+        # debug instrument, so observe_batch records each event's root
+        # span here, in the process that owns the tracer.
         self._tracer = tracer
 
     def sync(self) -> None:

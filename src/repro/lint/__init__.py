@@ -16,11 +16,6 @@ Three pass families over parsed ASTs and compiled
   pipeline/rule/register cost estimates (:mod:`repro.lint.splitmode`).
 """
 
-from .calibration import (
-    CALIBRATION,
-    MeasuredCost,
-    measured_cost,
-)
 from .dataflow import rule_cross_stage_contradiction, stage_environments
 from .diagnostics import Diagnostic, Related, Rule, RULES, Severity
 from .dispatch import (
@@ -80,9 +75,6 @@ from .splitmode import (
 )
 
 __all__ = [
-    "CALIBRATION",
-    "MeasuredCost",
-    "measured_cost",
     "rule_cross_stage_contradiction",
     "stage_environments",
     "Diagnostic",

@@ -42,12 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
-from ..backends.varanus_compiler import VaranusCompileError, check_compilable
+from ..backends.varanus_compiler import VaranusCompileError, plan_property
 from ..core.codegen import PropEmission, property_emission
 from ..core.refs import EventKind
 from ..core.spec import Absent, Observe, PropertySpec
 from ..switch.switch import DEFAULT_SPLIT_LAG
-from .calibration import MeasuredCost, measured_cost
 from .diagnostics import Diagnostic, make
 from .schema import field_bits
 
@@ -164,18 +163,10 @@ class CostEstimate:
     #: one fresh table per instance regardless of stage count; 0 under
     #: the engine model, which keeps instances off the switch).
     instance_tables: int = 0
-    #: the checked-in compiler measurement for this property, when it is
-    #: in the calibration table (``repro.lint.calibration.CALIBRATION``).
-    measured: Optional[MeasuredCost] = None
     #: the software fast path's price: the codegen emitter's own counts
     #: for this property (always present — codegen hosts every property,
     #: rule-compilable or not).
     codegen: Optional[PropEmission] = None
-
-    @property
-    def source(self) -> str:
-        """"calibrated" when a compiler measurement backs the estimate."""
-        return "calibrated" if self.measured is not None else "model"
 
 
 @dataclass(frozen=True)
@@ -282,15 +273,18 @@ def _find_hazards(prop: PropertySpec, lag: float) -> List[Hazard]:
 # Cost estimation
 # ---------------------------------------------------------------------------
 def estimate_cost(prop: PropertySpec) -> CostEstimate:
-    """Static pipeline-depth / rule / register-bit price of one property."""
-    try:
-        check_compilable(prop)
-        model, reason = "rules", ""
-    except VaranusCompileError as exc:
-        model, reason = "engine", str(exc)
+    """Static pipeline-depth / rule / register-bit price of one property.
+
+    Under the rules model the rule and flow-mod counts are the Varanus
+    compiler's own: :func:`~repro.backends.varanus_compiler.plan_property`
+    walks the plan ``compile_property`` installs, so there is no second
+    model to keep equal to it.
+    """
     state_bits = _state_bits(prop)
     codegen = property_emission(prop)
-    if model == "engine":
+    try:
+        plan = plan_property(prop)
+    except VaranusCompileError as exc:
         # The reference engine holds one instance record and applies one
         # (split-deferrable) update per advancement; depth follows the
         # backends' one-table-per-stage static model.
@@ -299,38 +293,17 @@ def estimate_cost(prop: PropertySpec) -> CostEstimate:
             rules_per_instance=0,
             slow_updates_per_instance=prop.num_stages - 1,
             state_bits_per_instance=state_bits,
-            model=model,
-            engine_reason=reason,
+            model="engine",
+            engine_reason=str(exc),
             codegen=codegen,
         )
-    # Calibrated against the compiler's emitted plans (see
-    # repro.lint.calibration; the walker is plan_property).  Rules alive
-    # per instance: the entry-table suppression rule, plus per later
-    # stage its watcher (an Absent adds a discharge companion) and one
-    # cancel rule per unless clause.  Flow-mods: stage 0's firing issues
-    # the unroll + suppression learns (2); each positive stage's firing
-    # issues its cleanup DeleteRules sweep and deeper Learn (5 metered
-    # updates); an Absent stage arms a single timer Learn (discharge and
-    # cancels ride inside it as unmetered companions).
-    rules = 1
-    slow_updates = 2
-    for index in range(1, prop.num_stages):
-        stage = prop.stages[index]
-        if isinstance(stage, Absent):
-            rules += 2
-            slow_updates += 1
-        else:
-            rules += 1
-            slow_updates += 5
-        rules += len(getattr(stage, "unless", ()))
     return CostEstimate(
         pipeline_tables=prop.num_stages,
-        rules_per_instance=rules,
-        slow_updates_per_instance=slow_updates,
+        rules_per_instance=plan.rules_per_instance,
+        slow_updates_per_instance=plan.flow_mods_per_instance,
         state_bits_per_instance=state_bits,
-        model=model,
-        instance_tables=1,
-        measured=measured_cost(prop.name),
+        model="rules",
+        instance_tables=plan.instance_tables,
         codegen=codegen,
     )
 

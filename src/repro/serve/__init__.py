@@ -3,15 +3,13 @@
 Everything else in the reproduction replays recorded traces on the
 virtual clock; this package is the long-running counterpart.  A
 :class:`ServeDaemon` ingests serialized event frames (the
-``netsim/serialize.py`` JSONL format, or the RPF1 framed binary codec —
-each ingest connection is sniffed for the four-byte magic) from TCP
-sockets and pipes into a bounded :class:`IngestQueue` with explicit
-backpressure —
-accept/shed decisions land in the monitor's
+``netsim/serialize.py`` JSONL format) from TCP sockets and pipes into a
+bounded :class:`IngestQueue` with explicit backpressure — accept/shed
+decisions land in the monitor's
 :class:`~repro.core.degradation.OverflowLedger`, so overload degrades
 into a detection-uncertainty interval instead of silent loss — and
-dispatches them into the monitor (per event inside a trace span by
-default, one ``observe_batch`` call per batch with tracing off).  An
+dispatches them into the monitor, one ``observe_batch`` call per batch
+(the monitor's intake records each event's trace span).  An
 HTTP observability plane (stdlib only) exposes ``/metrics`` (Prometheus
 text), ``/stats`` (JSON), ``/healthz`` + ``/readyz`` (liveness vs.
 queue-pressure readiness), and ``/trace`` (recent spans from the

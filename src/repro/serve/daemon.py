@@ -3,12 +3,11 @@
 One asyncio event loop owns everything: TCP ingest servers and pipe
 readers feed frames into the bounded :class:`~repro.serve.ingest.IngestQueue`;
 a dispatcher coroutine drains it in batches into the monitor — one
-``observe`` per event wrapped in a root trace span under the default
-``trace_buffer=512``, a plain ``observe_batch`` call with tracing off
-(both run the monitor's one intake loop); a poller coroutine drives
-:class:`~repro.telemetry.StatsPoller` on the wall clock; and the HTTP
-plane answers ``/metrics``, ``/stats``, ``/healthz``, ``/readyz`` and
-``/trace`` between batches.  Single-loop concurrency is the point —
+``observe_batch`` call per batch, whose intake loop opens each event's
+root trace span under the default ``trace_buffer=512``; a poller
+coroutine drives :class:`~repro.telemetry.StatsPoller` on the wall
+clock; and the HTTP plane answers ``/metrics``, ``/stats``,
+``/healthz``, ``/readyz`` and ``/trace`` between batches.  Single-loop concurrency is the point —
 the monitor is single-threaded by design (it models one switch-local
 monitor), so nothing here needs a lock.
 
@@ -30,7 +29,6 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-import struct
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -39,7 +37,6 @@ from ..core.monitor import Monitor
 from ..fabric import SupervisorPolicy
 from ..netsim.chaos import PROFILES
 from ..netsim.clock import WallClock
-from ..netsim.serialize import FRAME_MAGIC
 from ..resilience import build_monitor, build_sharded_monitor
 from ..telemetry import (
     MetricsRegistry,
@@ -52,8 +49,6 @@ from ..telemetry import (
 from .http import HttpPlane, json_response, start_http
 from .ingest import FrameError, IngestQueue, parse_frame
 from .report import ServeDegradationReport
-
-_U32 = struct.Struct(">I")
 
 
 def parse_ingest_spec(spec: str) -> Tuple[str, object]:
@@ -159,7 +154,7 @@ class ServeDaemon:
             self.monitor if hasattr(self.monitor, "shard_liveness")
             else None)
         # trace_buffer 0 disables span emission entirely: /trace serves
-        # nothing and dispatch takes the plain observe_batch path.
+        # nothing and the monitor's intake opens no root spans.
         self.tracer: Tracer = (
             Tracer(max_spans=self.config.trace_buffer)
             if self.config.trace_buffer > 0 else NullTracer())
@@ -344,25 +339,12 @@ class ServeDaemon:
         if task is not None:
             self._conn_tasks.add(task)
         try:
-            # Sniff the first four bytes: an RPF1 magic switches the
-            # connection to the framed binary codec, anything else is
-            # treated as the start of a JSONL stream.
-            try:
-                head = await reader.readexactly(4)
-            except asyncio.IncompleteReadError as exc:
-                head = exc.partial  # connection shorter than the magic
-            if head == FRAME_MAGIC:
-                await self._read_framed(reader, source)
-            elif head:
-                buf = head + await reader.readline()
-                for line in buf.splitlines():
-                    self._offer_line(line, source)
-                while True:
-                    line = await reader.readline()
-                    if not line:
-                        break
-                    self._offer_line(line, source)
-        except (ConnectionError, asyncio.IncompleteReadError):
+            while True:
+                line = await reader.readline()
+                if not line:
+                    break
+                self._offer_line(line, source)
+        except ConnectionError:
             pass
         finally:
             if task is not None:
@@ -385,39 +367,6 @@ class ServeDaemon:
         if self._wake is not None:
             self._wake.set()
 
-    async def _read_framed(self, reader: asyncio.StreamReader,
-                           source: str) -> None:
-        """Drain an RPF1 framed stream: repeated batches of
-        magic + u32 count + per-event (u32 length + JSON payload).
-
-        The payloads are the same JSON dicts the JSONL codec writes, so
-        each one goes through the ordinary frame parser.  A truncated
-        batch counts as one frame error; everything decoded before the
-        truncation still reaches the queue.
-        """
-        first = True
-        while True:
-            if not first:
-                try:
-                    magic = await reader.readexactly(4)
-                except asyncio.IncompleteReadError as exc:
-                    if exc.partial:
-                        self._frame_errors.inc()
-                    return
-                if magic != FRAME_MAGIC:
-                    self._frame_errors.inc()
-                    return
-            first = False
-            try:
-                (count,) = _U32.unpack(await reader.readexactly(4))
-                for _ in range(count):
-                    (size,) = _U32.unpack(await reader.readexactly(4))
-                    payload = await reader.readexactly(size)
-                    self._offer_line(payload, source)
-            except asyncio.IncompleteReadError:
-                self._frame_errors.inc()
-                return
-
     def _start_pipe_reader(self, path: str) -> None:
         loop = self._loop
         assert loop is not None
@@ -427,50 +376,13 @@ class ServeDaemon:
         def offer(data: bytes) -> None:
             loop.call_soon_threadsafe(self._offer_line, data, source)
 
-        def frame_error() -> None:
-            loop.call_soon_threadsafe(self._frame_errors.inc)
-
-        def read_exact(fp, size: int) -> Optional[bytes]:
-            chunk = fp.read(size)
-            return chunk if chunk is not None and len(chunk) == size else None
-
-        def read_framed(fp) -> None:
-            # First magic was consumed by the sniff; subsequent batches
-            # each lead with their own.
-            while True:
-                raw = read_exact(fp, 4)
-                if raw is None:
-                    frame_error()
-                    return
-                (count,) = _U32.unpack(raw)
-                for _ in range(count):
-                    raw = read_exact(fp, 4)
-                    payload = raw and read_exact(fp, _U32.unpack(raw)[0])
-                    if not payload:
-                        frame_error()
-                        return
-                    offer(payload)
-                magic = fp.read(4)
-                if not magic:
-                    return  # clean EOF between batches
-                if magic != FRAME_MAGIC:
-                    frame_error()
-                    return
-
         def read_pipe() -> None:
             # Blocking reads in a daemon thread: a FIFO open blocks until
             # a writer connects, which must not stall the event loop.
-            # The same four-byte sniff as TCP ingest picks JSONL or RPF1.
             try:
                 with open(path, "rb") as fp:
-                    head = fp.read(4)
-                    if head == FRAME_MAGIC:
-                        read_framed(fp)
-                    elif head:
-                        for line in (head + fp.readline()).splitlines():
-                            offer(line)
-                        for line in fp:
-                            offer(line)
+                    for line in fp:
+                        offer(line)
             except OSError:
                 pass  # pipe vanished; the daemon keeps serving
             except RuntimeError:
@@ -487,7 +399,10 @@ class ServeDaemon:
         while True:
             batch = self.queue.take_batch(self.config.batch_max)
             if batch:
-                self._dispatch(batch)
+                # One call per batch; with tracing on, the monitor (or
+                # the fabric) records each event's root span, so /trace
+                # answers "what happened to packet uid N?".
+                self.monitor.observe_batch(batch)
                 continue
             if self._stopping.is_set() and not self._conn_tasks:
                 return  # stopped, ingest quiesced, and drained
@@ -496,27 +411,6 @@ class ServeDaemon:
                 await asyncio.wait_for(self._wake.wait(), timeout=0.05)
             except asyncio.TimeoutError:
                 pass
-
-    def _dispatch(self, batch: List) -> None:
-        """Feed one batch to the monitor, wrapping each event in a root
-        span so ``/trace`` can answer "what happened to packet uid N?".
-
-        With tracing disabled (``trace_buffer=0``) this is a straight
-        ``observe_batch`` call — the same entry point replay uses.
-        """
-        if not self.tracer.enabled:
-            self.monitor.observe_batch(batch)
-            return
-        tracer = self.tracer
-        monitor = self.monitor
-        for event in batch:
-            packet = getattr(event, "packet", None)
-            root = tracer.start(
-                type(event).__name__, event.time,
-                uid=packet.uid if packet is not None else None,
-                root=True, switch=event.switch_id)
-            monitor.observe(event)
-            tracer.end(root, monitor.now)
 
     async def _poll_loop(self) -> None:
         assert self._stopping is not None
@@ -537,6 +431,10 @@ class ServeDaemon:
     # -- endpoints ---------------------------------------------------------
     def _ep_metrics(self, query: Mapping[str, str]) -> Tuple[int, str, str]:
         self._uptime_gauge.set(self.clock.now())
+        if self._fabric is not None:
+            # Shard totals reach the registry's repro_monitor_* families
+            # only when the fabric syncs; /stats syncs on read too.
+            self._fabric.sync()
         return (200, "text/plain; version=0.0.4",
                 render_prometheus(self.registry.snapshot()))
 

@@ -27,8 +27,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from ..netsim.serialize import encode_frames, read_trace
-
 
 @dataclass
 class SendResult:
@@ -55,36 +53,17 @@ class SendResult:
         }
 
 
-def _read_lines(path: str) -> List[bytes]:
-    """Event lines from a trace file, newline-terminated, header kept.
+def _read_units(path: str) -> List[Tuple[bytes, int]]:
+    """The trace's lines as ``(line, event_count)`` send units.
 
-    The header line is forwarded as-is — the daemon's frame parser skips
-    it — so a sent stream is byte-identical to the file.
+    Lines are newline-terminated and the header line is forwarded as-is
+    (counting zero events) — the daemon's frame parser skips it — so a
+    sent stream is byte-identical to the file.
     """
     with open(path, "rb") as fp:
-        return [line if line.endswith(b"\n") else line + b"\n"
-                for line in fp if line.strip()]
-
-
-def _build_units(path: str, format: str, chunk: int,
-                 max_layer: int = 7) -> List[Tuple[bytes, int]]:
-    """The trace as ``(payload, event_count)`` send units.
-
-    ``jsonl`` keeps the file's own lines (one unit per line, headers
-    counting zero events).  ``rpf1`` parses the trace and re-encodes it
-    as framed binary batches of up to ``chunk`` events — the daemon's
-    ingest sniffs the magic and switches codec per connection.
-    """
-    if format == "jsonl":
-        return [(line, 0 if b'"TraceHeader"' in line else 1)
-                for line in _read_lines(path)]
-    if format == "rpf1":
-        events = read_trace(path, max_layer=max_layer)
-        return [(encode_frames(events[i:i + chunk]),
-                 len(events[i:i + chunk]))
-                for i in range(0, len(events), chunk)]
-    raise ValueError(f"unknown send format {format!r}; "
-                     "choose jsonl or rpf1")
+        lines = [line if line.endswith(b"\n") else line + b"\n"
+                 for line in fp if line.strip()]
+    return [(line, 0 if b'"TraceHeader"' in line else 1) for line in lines]
 
 
 def stream_trace(
@@ -96,7 +75,6 @@ def stream_trace(
     chunk: int = 64,
     retry: int = 0,
     backoff: float = 0.5,
-    format: str = "jsonl",
     monotonic: Optional[Callable[[], float]] = None,
     sleep: Optional[Callable[[float], None]] = None,
     connect: Optional[Callable[[str, int], socket.socket]] = None,
@@ -111,10 +89,8 @@ def stream_trace(
     for the whole stream: each connection failure — initial or mid-send
     — consumes one attempt and waits ``backoff * 2**consecutive_failures``
     seconds; a successful reconnect resets the consecutive count, the
-    budget never refills.  ``format`` picks the wire codec: ``jsonl``
-    forwards the file's own lines; ``rpf1`` re-encodes the trace as
-    framed binary batches (one batch per chunk).  ``monotonic``/
-    ``sleep``/``connect`` are injectable for tests.
+    budget never refills.  ``monotonic``/``sleep``/``connect`` are
+    injectable for tests.
     """
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat!r}")
@@ -128,10 +104,7 @@ def stream_trace(
     pause = sleep if sleep is not None else time.sleep
     dial = (connect if connect is not None
             else lambda h, p: socket.create_connection((h, p)))
-    units = _build_units(path, format, chunk)
-    # An rpf1 unit is already a whole chunk-sized batch; jsonl units are
-    # single lines grouped chunk-at-a-time at send time.
-    group = chunk if format == "jsonl" else 1
+    units = _read_units(path)
 
     sent = 0  # events only; header lines don't count toward pacing
     reconnects = 0
@@ -156,7 +129,7 @@ def stream_trace(
                     if round_idx or i or consecutive_failures:
                         reconnects += 1
                     consecutive_failures = 0
-                batch = units[i:i + group]
+                batch = units[i:i + chunk]
                 try:
                     sock.sendall(b"".join(payload for payload, _ in batch))
                 except OSError:

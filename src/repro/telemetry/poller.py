@@ -62,6 +62,11 @@ class StatsPoller:
         self._next_tick = start_time + interval
 
     # -- virtual-time driven (replay loops) --------------------------------
+    @property
+    def next_due(self) -> float:
+        """Virtual time of the next tick."""
+        return self._next_tick
+
     def advance_to(self, when: float) -> int:
         """Fire every tick with deadline <= ``when``; returns ticks fired."""
         fired = 0

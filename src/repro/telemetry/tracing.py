@@ -21,10 +21,12 @@ Hypothesis property in the test suite):
 * span ids strictly increase in emission order.
 
 Correlation across decoupled layers works through the packet uid: the
-switch opens a root span *before* emitting ``PacketArrival`` to its taps,
-so when the monitor (a tap, synchronous) emits its own spans for the same
-uid they attach under that root.  :class:`NullTracer` is the default and
-costs one attribute check per call site.
+monitor's intake opens a root span per observed event
+(:meth:`Tracer.event_root`) and its own spans for the same uid attach
+under it.  A switch opens its ``switch.receive`` root *before* emitting
+``PacketArrival`` to its taps, so a monitor sharing its tracer opens no
+root of its own and nests under the switch's.  :class:`NullTracer` is
+the default and costs one attribute check per call site.
 """
 
 from __future__ import annotations
@@ -157,6 +159,25 @@ class Tracer:
             self._root_by_uid[uid] = span
         return span
 
+    def event_root(self, event) -> Optional[Span]:
+        """Open the root span of one dataplane event, or None.
+
+        The span is named after the event's type, keyed by its packet
+        uid (when it carries a packet) and tagged with its switch; the
+        caller ends it once the event's work is done.  When a root span
+        for that uid is already open — a switch's ``switch.receive``
+        wrapping the arrival it emits to its taps — nothing opens and
+        the caller's spans nest under the existing root.
+        """
+        packet = getattr(event, "packet", None)
+        uid = packet.uid if packet is not None else None
+        if uid is not None:
+            current = self._root_by_uid.get(uid)
+            if current is not None and current.end is None:
+                return None
+        return self.start(type(event).__name__, event.time, uid=uid,
+                          root=True, switch=event.switch_id)
+
     def end(self, span: Span, time: float, **attrs: object) -> None:
         span.end = max(time, span.start)
         if span.end > self._latest:
@@ -232,6 +253,9 @@ class NullTracer(Tracer):
         pass
 
     def start(self, name, time, uid=None, parent=None, root=False, **attrs):  # type: ignore[override]
+        return None
+
+    def event_root(self, event):  # type: ignore[override]
         return None
 
     def end(self, span, time, **attrs):  # type: ignore[override]
@@ -386,22 +410,3 @@ def validate_spans(spans: Sequence[Span]) -> List[str]:
                     f"parent {parent.span_id}"
                 )
     return problems
-
-
-def replay_with_trace(monitor, events, tracer: Tracer) -> None:
-    """Feed recorded events into ``monitor`` with one root span per event.
-
-    This is the offline analogue of the switch's live tracing: each trace
-    event gets a root span (named after its type, keyed by the packet uid
-    when it has one) under which the monitor's instance spans nest.  Used
-    by ``repro stats`` and the span well-formedness tests.
-    """
-    for event in events:
-        packet = getattr(event, "packet", None)
-        uid = packet.uid if packet is not None else None
-        root = tracer.start(
-            type(event).__name__, event.time, uid=uid, root=True,
-            switch=event.switch_id,
-        )
-        monitor.observe(event)
-        tracer.end(root, monitor.now)

@@ -17,8 +17,9 @@ import pytest
 
 from repro.apps import LearningSwitchApp, sometimes
 from repro.netsim import TraceRecorder, single_switch_network
-from repro.netsim.serialize import save_trace, trace_header
+from repro.netsim.serialize import read_trace, save_trace, trace_header
 from repro.netsim.workload import l2_pairs, send_all
+from repro.resilience import catalog_trace
 from repro.serve import (
     ServeConfig,
     ServeDaemon,
@@ -276,3 +277,49 @@ class TestGracefulShutdown:
         assert spans
         spans.sort(key=lambda s: s.span_id)
         assert validate_spans(spans) == []
+
+
+class TestShardedDispatch:
+    def test_traced_mp_fabric_gets_whole_batches(self, tmp_path):
+        """With tracing on (the default) a 2-shard mp fabric still
+        receives each dispatch batch whole, so the supervisor's journal
+        (512 batches between checkpoints) drops nothing and a worker
+        crash would replay exactly; /trace keeps one root per event."""
+        from repro.telemetry import load_spans
+
+        path = str(tmp_path / "catalog.jsonl")
+        save_trace(catalog_trace(seed=7, num_events=1500), path)
+        events = read_trace(path)
+        spans_out = tmp_path / "spans.jsonl"
+        daemon, handle = boot(shards=2, shard_mode="mp",
+                              spans_path=str(spans_out))
+        try:
+            result = stream_trace(path, "127.0.0.1", daemon.ingest_ports[0])
+            assert result.events == len(events) == 1500
+            assert wait_until(
+                lambda: daemon.monitor.stats.events >= len(events),
+                timeout=30.0)
+            dropped = [st.journal_dropped
+                       for st in daemon.monitor.supervisor.states]
+            status, body = get(daemon, "/trace?limit=1000")
+            recent = json.loads(body)["spans"]
+            _, metrics = get(daemon, "/metrics")
+        finally:
+            report = handle.stop()
+        assert dropped == [0, 0]
+        # A scrape shows the merged shard totals, as a plain daemon's does.
+        assert f"repro_monitor_events_total {len(events)}" in metrics
+        assert report.events_observed == len(events)
+        assert report.exact
+        # The shards run null tracers: every span is an event's root.
+        assert status == 200
+        assert len(recent) == daemon.config.trace_buffer
+        assert all(span["parent_id"] is None for span in recent)
+        with open(spans_out, "r", encoding="utf-8") as fp:
+            spans = sorted(load_spans(fp), key=lambda s: s.span_id)
+        assert [(s.name, s.uid, s.start) for s in spans] == [
+            (type(e).__name__,
+             e.packet.uid if getattr(e, "packet", None) else None,
+             e.time)
+            for e in events]
+

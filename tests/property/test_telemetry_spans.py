@@ -5,6 +5,11 @@ span forest: ids strictly increase, every parent exists and precedes its
 child, every span is closed.  ``validate_spans`` is the single contract
 that ``repro stats --trace-out`` relies on; these tests prove it holds on
 arbitrary inputs, not just the hand-written smoke traces.
+
+The root span of each event comes from the monitor's own intake loop, so
+``observe_batch`` must build exactly the tree a caller gets by opening a
+root span around each ``observe`` call itself (the monitor then opens
+none: one is already open for the packet uid).
 """
 
 import io
@@ -25,13 +30,7 @@ from repro.core import (
 from repro.packet import ethernet
 from repro.switch.events import EgressAction, PacketArrival, PacketEgress
 from repro.switch.switch import ProcessingMode
-from repro.telemetry import (
-    Tracer,
-    dump_spans,
-    load_spans,
-    replay_with_trace,
-    validate_spans,
-)
+from repro.telemetry import Tracer, dump_spans, load_spans, validate_spans
 
 addr = st.integers(min_value=1, max_value=4)
 
@@ -70,15 +69,103 @@ def traced_property():
     )
 
 
-def replay(events, mode=ProcessingMode.INLINE):
+def replay(events, mode=ProcessingMode.INLINE, caller_roots=False):
+    """Trace ``events`` through one monitor: one ``observe_batch`` call,
+    or (``caller_roots``) one ``observe`` per event inside a root span
+    the caller opens and closes at the monitor's time."""
     tracer = Tracer()
     monitor = Monitor(mode=mode, split_lag=0.5, tracer=tracer)
     monitor.add_property(traced_property())
-    replay_with_trace(monitor, events, tracer)
+    if caller_roots:
+        for event in events:
+            root = tracer.start(
+                type(event).__name__, event.time, uid=event.packet.uid,
+                root=True, switch=event.switch_id)
+            monitor.observe(event)
+            tracer.end(root, monitor.now)
+    else:
+        monitor.observe_batch(events)
     if events:
         monitor.advance_to(events[-1].time + 10.0)
     tracer.close_all(monitor.now)
     return tracer
+
+
+def span_rows(tracer):
+    return [span.to_dict() for span in tracer.spans]
+
+
+class TestIntakeOwnsRootSpans:
+    @settings(max_examples=40, deadline=None)
+    @given(event_streams())
+    def test_inline_batch_tree_equals_caller_rooted_tree(self, events):
+        assert span_rows(replay(events)) == span_rows(
+            replay(events, caller_roots=True))
+
+    @settings(max_examples=40, deadline=None)
+    @given(event_streams())
+    def test_split_batch_tree_equals_caller_rooted_tree(self, events):
+        # Deferred ops land under whichever root is open when they
+        # apply (or none); both paths must agree span for span.
+        split = ProcessingMode.SPLIT
+        assert span_rows(replay(events, mode=split)) == span_rows(
+            replay(events, mode=split, caller_roots=True))
+
+    def test_one_root_per_event_carries_uid_and_switch(self):
+        events = [
+            PacketArrival(switch_id="s7", time=0.1 * (i + 1),
+                          packet=ethernet(1 + i % 2, 2), in_port=1)
+            for i in range(4)]
+        tracer = replay(events)
+        roots = [s for s in tracer.spans if s.parent_id is None
+                 and s.name == "PacketArrival"]
+        assert [(s.uid, s.start, s.attrs["switch"]) for s in roots] == [
+            (e.packet.uid, e.time, "s7") for e in events]
+        children = [s for s in tracer.spans if s.parent_id is not None]
+        assert children and all(
+            s.name.startswith("monitor.") for s in children)
+
+    def test_monitor_nests_under_switch_receive_on_a_shared_tracer(self):
+        # The switch opens switch.receive before its taps see the
+        # arrival (and keeps it open through the egresses), so the
+        # monitor's intake opens no root of its own.
+        from repro.apps import LearningSwitchApp, sometimes
+        from repro.netsim import single_switch_network
+        from repro.netsim.workload import l2_pairs, send_all
+        from repro.props import learned_unicast_port
+        from repro.switch.pipeline import MissPolicy
+
+        tracer = Tracer()
+        net, switch, hosts = single_switch_network(4, switch_kwargs={
+            "miss_policy": MissPolicy.CONTROLLER, "tracer": tracer})
+        switch.set_app(LearningSwitchApp(
+            faults=sometimes("wrong_port", 0.3, seed=5)))
+        monitor = Monitor(tracer=tracer)
+        monitor.add_property(learned_unicast_port())
+        switch.add_tap(monitor.observe)
+        send_all(hosts, l2_pairs(4, 30, seed=5))
+        net.run()
+        tracer.close_all()
+
+        assert validate_spans(tracer.spans) == []
+        assert monitor.violations
+        by_id = {s.span_id: s for s in tracer.spans}
+        assert {s.name for s in tracer.spans if s.parent_id is None} == {
+            "switch.receive"}
+        monitor_spans = [s for s in tracer.spans
+                         if s.name.startswith("monitor.")]
+        assert {s.name for s in monitor_spans} >= {
+            "monitor.create", "monitor.violation"}
+        for span in monitor_spans:
+            parent = by_id[span.parent_id]
+            assert (parent.name, parent.uid) == ("switch.receive", span.uid)
+
+    def test_untraced_monitor_records_nothing(self):
+        monitor = Monitor()
+        monitor.add_property(traced_property())
+        monitor.observe_batch([PacketArrival(
+            switch_id="s", time=0.1, packet=ethernet(1, 2), in_port=1)])
+        assert monitor.tracer.recent() == []
 
 
 class TestSpanWellFormedness:

@@ -1,37 +1,170 @@
-"""The compiler-calibrated cost model (repro.lint.calibration).
+"""Lint's cost blocks are the backends' own counts.
 
-Three invariants keep the estimate-vs-measured loop closed:
-
-* the analytic estimator (`estimate_cost`, rules model) agrees with the
-  plan the Varanus compiler actually emits (`plan_property`) on
-  tables/rules/flow-mods per instance, for every corpus property;
-* the checked-in CALIBRATION table agrees with live measurements (the
-  regen script's --check, exercised here directly);
-* a compiled corpus property really *behaves* like its plan says — the
-  switch's meter observes the planned flow-mod count on a violating run.
-
-The codegen cost block has no estimate to calibrate: lint reports the
-emitter's own counts, which ``TestCodegenCalibration`` pins.
+* The rules-model block is the Varanus compiler's plan
+  (`plan_property`) for every property in a corpus spanning each plan
+  shape the compiler can emit, and a compiled property really *behaves*
+  like its plan says — the switch's meter observes the planned flow-mod
+  count on a violating run.
+* The codegen block is the emitter's own count, which
+  ``TestCodegenCalibration`` pins.
 """
 
 import pytest
 
 from repro.backends.varanus_compiler import (
+    VaranusCompileError,
     check_compilable,
     compile_property,
     plan_property,
 )
-from repro.lint.calibration import (
-    CALIBRATION,
-    MeasuredCost,
-    calibration_corpus,
-    measured_cost,
-    regenerate,
-)
+from repro.core.refs import (
+    Bind, Const, EventKind, EventPattern, FieldEq, FieldNe, Var)
+from repro.core.spec import Absent, Observe, PropertySpec
 from repro.lint.splitmode import estimate_cost
 from repro.props import build_table1
 
-CORPUS = {prop.name: prop for prop in calibration_corpus()}
+
+# ---------------------------------------------------------------------------
+# The rule-plan corpus: one property per compilable plan shape
+# ---------------------------------------------------------------------------
+def _arrival(guards=(), binds=()):
+    return EventPattern(kind=EventKind.ARRIVAL, guards=tuple(guards),
+                       binds=tuple(binds))
+
+
+def _chain_2() -> PropertySpec:
+    """The echo shape: bind at stage 0, variable guard at stage 1."""
+    return PropertySpec(
+        name="cal-chain-2", description="two-stage observe chain",
+        stages=(
+            Observe("request", _arrival(binds=(Bind("S", "ipv4.src"),))),
+            Observe("response", _arrival(
+                guards=(FieldEq("ipv4.dst", Var("S")),))),
+        ),
+        key_vars=("S",),
+    )
+
+
+def _chain_3() -> PropertySpec:
+    """The port-knocking shape: constants at stage 0, value flow after."""
+    return PropertySpec(
+        name="cal-chain-3", description="three-stage knock chain",
+        stages=(
+            Observe("k1", _arrival(
+                guards=(FieldEq("tcp.dst", Const(7001)),),
+                binds=(Bind("K", "ipv4.src"),))),
+            Observe("k2", _arrival(
+                guards=(FieldEq("ipv4.src", Var("K")),
+                        FieldEq("tcp.dst", Const(7002))))),
+            Observe("open", _arrival(
+                guards=(FieldEq("ipv4.src", Var("K")),
+                        FieldEq("tcp.dst", Const(22))))),
+        ),
+        key_vars=("K",),
+    )
+
+
+def _chain_cancel() -> PropertySpec:
+    """A knock chain whose final stage carries an ``unless`` cancel."""
+    return PropertySpec(
+        name="cal-chain-cancel", description="chain with a cancel rule",
+        stages=(
+            Observe("k1", _arrival(
+                guards=(FieldEq("tcp.dst", Const(7001)),),
+                binds=(Bind("K", "ipv4.src"),))),
+            Observe("k2", _arrival(
+                guards=(FieldEq("ipv4.src", Var("K")),
+                        FieldEq("tcp.dst", Const(7002))))),
+            Observe("open", _arrival(
+                guards=(FieldEq("ipv4.src", Var("K")),
+                        FieldEq("tcp.dst", Const(22)))),
+                unless=(_arrival(
+                    guards=(FieldEq("ipv4.src", Var("K")),
+                            FieldEq("tcp.dst", Const(9))),),)),
+        ),
+        key_vars=("K",),
+    )
+
+
+def _observe_within() -> PropertySpec:
+    """A chain whose middle stage expires (hard-timeout watcher)."""
+    return PropertySpec(
+        name="cal-observe-within", description="deadline'd observe chain",
+        stages=(
+            Observe("k1", _arrival(
+                guards=(FieldEq("tcp.dst", Const(7001)),),
+                binds=(Bind("K", "ipv4.src"),))),
+            Observe("k2", _arrival(
+                guards=(FieldEq("ipv4.src", Var("K")),
+                        FieldEq("tcp.dst", Const(7002)))), within=1.0),
+            Observe("open", _arrival(
+                guards=(FieldEq("ipv4.src", Var("K")),
+                        FieldEq("tcp.dst", Const(22)))), within=1.0),
+        ),
+        key_vars=("K",),
+    )
+
+
+def _absent_final() -> PropertySpec:
+    """The unanswered-request shape: final Absent timer/discharge pair."""
+    return PropertySpec(
+        name="cal-absent-final", description="request needs a reply",
+        stages=(
+            Observe("request", _arrival(
+                guards=(FieldEq("tcp.dst", Const(80)),),
+                binds=(Bind("S", "ipv4.src"),))),
+            Absent("reply", _arrival(
+                guards=(FieldEq("ipv4.dst", Var("S")),)), within=2.0),
+        ),
+        key_vars=("S",),
+    )
+
+
+def _absent_cancel() -> PropertySpec:
+    """A final Absent with an ``unless`` excusing the obligation."""
+    return PropertySpec(
+        name="cal-absent-cancel", description="reply obligation with excuse",
+        stages=(
+            Observe("request", _arrival(
+                guards=(FieldEq("tcp.dst", Const(80)),),
+                binds=(Bind("S", "ipv4.src"),))),
+            Absent("reply", _arrival(
+                guards=(FieldEq("ipv4.dst", Var("S")),)), within=2.0,
+                unless=(_arrival(
+                    guards=(FieldEq("ipv4.dst", Var("S")),
+                            FieldNe("tcp.src", Const(80))),),)),
+        ),
+        key_vars=("S",),
+    )
+
+
+def rule_corpus():
+    """Fresh rule-compilable properties covering every plan shape, plus
+    any Table-1 catalog property the compiler accepts."""
+    corpus = [
+        _chain_2(), _chain_3(), _chain_cancel(), _observe_within(),
+        _absent_final(), _absent_cancel(),
+    ]
+    for entry in build_table1():
+        try:
+            check_compilable(entry.prop)
+        except VaranusCompileError:
+            continue
+        corpus.append(entry.prop)
+    return corpus
+
+
+CORPUS = {prop.name: prop for prop in rule_corpus()}
+#: ``(instance_tables, rules_per_instance, flow_mods_per_instance)`` per
+#: corpus property: a compiler change that moves a price shows up here.
+RULE_COUNTS = {
+    'cal-absent-cancel': (1, 4, 3),
+    'cal-absent-final': (1, 3, 3),
+    'cal-chain-2': (1, 2, 7),
+    'cal-chain-3': (1, 3, 12),
+    'cal-chain-cancel': (1, 4, 12),
+    'cal-observe-within': (1, 3, 12),
+}
 #: the rule-plan shapes plus the full Table-1 catalog — codegen hosts
 #: every property, so nothing waits on rule-compilability.
 CODEGEN_CORPUS = {
@@ -68,8 +201,6 @@ def test_corpus_is_rule_compilable():
 
 
 def test_corpus_covers_every_plan_shape():
-    from repro.core.spec import Absent
-
     shapes = {
         "two_stage": any(p.num_stages == 2 for p in CORPUS.values()),
         "three_stage": any(p.num_stages >= 3 for p in CORPUS.values()),
@@ -95,29 +226,8 @@ def test_estimate_matches_emitted_plan(name):
     assert est.instance_tables == plan.instance_tables
     assert est.rules_per_instance == plan.rules_per_instance
     assert est.slow_updates_per_instance == plan.flow_mods_per_instance
-
-
-def test_checked_in_table_matches_live_measurements():
-    assert regenerate() == CALIBRATION, (
-        "CALIBRATION drifted from the compiler: rerun "
-        "PYTHONPATH=src python -m tests.regen_calibration")
-
-
-def test_estimator_consults_the_table():
-    est = estimate_cost(CORPUS["cal-chain-3"])
-    assert est.source == "calibrated"
-    assert est.measured == MeasuredCost(*CALIBRATION["cal-chain-3"])
-
-
-def test_uncalibrated_property_has_no_measurement():
-    assert measured_cost("not-in-the-table") is None
-    prop = CORPUS["cal-chain-2"]
-    renamed = type(prop)(
-        name="uncalibrated-echo", description=prop.description,
-        stages=prop.stages, key_vars=prop.key_vars)
-    est = estimate_cost(renamed)
-    assert est.measured is None
-    assert est.source == "model"
+    assert (est.instance_tables, est.rules_per_instance,
+            est.slow_updates_per_instance) == RULE_COUNTS[name]
 
 
 class TestCodegenCalibration:

@@ -84,6 +84,15 @@ class TestExplainCommand:
         assert out.startswith("# repro codegen program")
         assert "_evalb__PacketArrival" in out
 
+    def test_explain_knows_worked_examples(self):
+        # Sec. 1/2 worked examples ship beside Table 1; explain must
+        # resolve them by name like the catalog rows.
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            rc = cli_main(["explain", "firewall-basic"])
+        assert rc in (0, None)
+        assert buf.getvalue().startswith("property firewall-basic:")
+
     def test_explain_unknown_property_fails(self, capsys):
         rc = cli_main(["explain", "no-such-property"])
         assert rc == 2

@@ -327,5 +327,15 @@ class TestShippedPropertyFiles:
         files = glob.glob(
             os.path.join(os.path.dirname(__file__), "..", "..",
                          "examples", "properties", "*.prop"))
-        names = {os.path.basename(f)[:-5].replace("_", "-") for f in files}
-        assert names == set(DSL_SOURCES)
+        bodies = {}
+        for path in files:
+            with open(path, "r", encoding="utf-8") as fp:
+                lines = fp.read().splitlines()
+            # Drop the generated header (and any lint pragma) comments.
+            while lines and lines[0].startswith("#"):
+                lines.pop(0)
+            name = os.path.basename(path)[:-5].replace("_", "-")
+            bodies[name] = "\n".join(lines).strip()
+        assert set(bodies) == set(DSL_SOURCES)
+        for name, source in DSL_SOURCES.items():
+            assert bodies[name] == source.strip(), name
